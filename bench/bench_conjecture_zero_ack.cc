@@ -56,7 +56,8 @@ int main() {
     const double two_p = 2.0 * 50'000.0 * c.tau / (8.0 * 500.0);
     const bool regime1 =
         static_cast<double>(c.w1) > static_cast<double>(c.w2) + two_p;
-    core::Scenario sc = core::zero_ack_fixed(c.w1, c.w2, c.tau);
+    core::Scenario sc =
+        core::make_topo_scenario(core::zero_ack_fixed(c.w1, c.w2, c.tau));
     core::ScenarioSummary s = core::run_scenario(sc);
     const double q1 = s.result.ports[0].queue.max_in(s.result.t_start,
                                                      s.result.t_end);

@@ -33,9 +33,11 @@ double max_compression(const core::ScenarioSummary& s) {
 int main() {
   int failures = 0;
 
-  core::Scenario off = core::fig4_twoway(0.01, 20);
-  core::Scenario small_wnd = core::delayed_ack_twoway(8, 0.01, 20);
-  core::Scenario large_wnd = core::delayed_ack_twoway(1000, 0.01, 20);
+  core::Scenario off = core::make_topo_scenario(core::fig4_twoway(0.01, 20));
+  core::Scenario small_wnd =
+      core::make_topo_scenario(core::delayed_ack_twoway(8, 0.01, 20));
+  core::Scenario large_wnd =
+      core::make_topo_scenario(core::delayed_ack_twoway(1000, 0.01, 20));
 
   std::vector<Row> rows;
   rows.push_back({"delayed-ACK off", core::run_scenario(off)});

@@ -21,7 +21,7 @@ using core::Claim;
 int main() {
   int failures = 0;
 
-  core::Scenario sc = core::fig2_one_way(3, 1.0, 20);
+  core::Scenario sc = core::make_topo_scenario(core::fig2_one_way(3, 1.0, 20));
   core::ScenarioSummary s = core::run_scenario(sc);
   core::print_summary(std::cout, sc.name + " (tau=1s)", s);
   std::cout << '\n';
@@ -63,7 +63,8 @@ int main() {
   failures += core::print_claims(std::cout, "Fig. 2 (tau=1s)", claims);
 
   // --- tau = 0.01 s variant: near-perfect utilization ---
-  core::Scenario sc2 = core::fig2_one_way(3, 0.01, 20);
+  core::Scenario sc2 =
+      core::make_topo_scenario(core::fig2_one_way(3, 0.01, 20));
   core::ScenarioSummary s2 = core::run_scenario(sc2);
   std::vector<Claim> claims2;
   claims2.push_back({"utilization (small pipe)", "~100%",

@@ -23,7 +23,7 @@ using core::Claim;
 int main() {
   int failures = 0;
 
-  core::Scenario sc = core::fig3_ten_connections(30);
+  core::Scenario sc = core::make_topo_scenario(core::fig3_ten_connections(30));
   core::ScenarioSummary s = core::run_scenario(sc);
   core::print_summary(std::cout, sc.name + " (buffer 30)", s);
   std::cout << '\n';
@@ -39,7 +39,8 @@ int main() {
   for (const auto& [conn, a] : s.ack) mean_compressed += a.compressed_fraction;
   mean_compressed /= static_cast<double>(s.ack.size());
 
-  core::Scenario sc60 = core::fig3_ten_connections(60);
+  core::Scenario sc60 =
+      core::make_topo_scenario(core::fig3_ten_connections(60));
   core::ScenarioSummary s60 = core::run_scenario(sc60);
 
   std::vector<Claim> claims;

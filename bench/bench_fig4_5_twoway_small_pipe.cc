@@ -21,7 +21,7 @@ int main() {
   int failures = 0;
 
   // --- Figs. 4-5 at buffer 20 ---
-  core::Scenario sc = core::fig4_twoway(0.01, 20);
+  core::Scenario sc = core::make_topo_scenario(core::fig4_twoway(0.01, 20));
   core::ScenarioSummary s = core::run_scenario(sc);
   core::print_summary(std::cout, sc.name + " (buffer 20)", s);
   std::cout << '\n';
@@ -106,7 +106,8 @@ int main() {
                  "mean RTT conn0", "effective pipe (pkts)"});
   std::vector<double> pipes;
   for (std::size_t buffer : {20u, 60u, 120u}) {
-    core::Scenario sb = core::fig4_twoway(0.01, buffer);
+    core::Scenario sb =
+        core::make_topo_scenario(core::fig4_twoway(0.01, buffer));
     core::ScenarioSummary sum = core::run_scenario(sb);
     const core::EffectivePipe ep = core::effective_pipe(
         sum.result, 0, sum.result.t_start, sum.result.t_end);

@@ -37,7 +37,7 @@ double both_idle_fraction(const core::ExperimentResult& r) {
 int main() {
   int failures = 0;
 
-  core::Scenario sc = core::fig6_twoway(1.0, 20);
+  core::Scenario sc = core::make_topo_scenario(core::fig6_twoway(1.0, 20));
   core::ScenarioSummary s = core::run_scenario(sc);
   core::print_summary(std::cout, sc.name, s);
   std::cout << '\n';
@@ -52,7 +52,8 @@ int main() {
   const double idle_both = both_idle_fraction(s.result);
 
   // One-way baseline at the same pipe size for the utilization comparison.
-  core::Scenario base = core::fig2_one_way(2, 1.0, 20);
+  core::Scenario base =
+      core::make_topo_scenario(core::fig2_one_way(2, 1.0, 20));
   core::ScenarioSummary sb = core::run_scenario(base);
 
   std::vector<Claim> claims;

@@ -19,7 +19,8 @@ using core::Claim;
 int main() {
   int failures = 0;
 
-  core::Scenario sc = core::fig8_fixed_window(1.0, 30, 25);
+  core::Scenario sc =
+      core::make_topo_scenario(core::fig8_fixed_window(1.0, 30, 25));
   core::ScenarioSummary s = core::run_scenario(sc);
   core::print_summary(std::cout, sc.name, s);
   std::cout << '\n';

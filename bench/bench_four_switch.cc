@@ -17,7 +17,7 @@ using namespace tcpdyn;
 int main() {
   int failures = 0;
 
-  core::Scenario sc = core::four_switch_chain(50, 7);
+  core::Scenario sc = core::make_topo_scenario(core::four_switch_chain(50, 7));
   core::ScenarioSummary s = core::run_scenario(sc);
 
   util::Table t({"trunk port", "utilization", "max burst rise (pkts/tx)",

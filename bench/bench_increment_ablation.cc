@@ -16,9 +16,10 @@ using namespace tcpdyn;
 int main() {
   int failures = 0;
 
-  core::Scenario mod = core::increment_ablation(true);
+  core::Scenario mod = core::make_topo_scenario(core::increment_ablation(true));
   core::ScenarioSummary a = core::run_scenario(mod);
-  core::Scenario orig = core::increment_ablation(false);
+  core::Scenario orig =
+      core::make_topo_scenario(core::increment_ablation(false));
   core::ScenarioSummary b = core::run_scenario(orig);
 
   util::Table t({"increment", "utilization", "drops/epoch", "epoch interval",

@@ -26,8 +26,8 @@ int main() {
                             .progress = false});
   const core::SweepTable result =
       runner.run([](const core::SweepPoint& pt) {
-        core::Scenario sc = core::fig2_one_way(
-            3, 1.0, static_cast<std::size_t>(pt.value("buffer")));
+        core::Scenario sc = core::make_topo_scenario(core::fig2_one_way(
+            3, 1.0, static_cast<std::size_t>(pt.value("buffer"))));
         // Longer cycles at large buffers need a longer run to see many
         // epochs.
         sc.duration = sim::Time::seconds(1200.0);

@@ -27,9 +27,10 @@ double max_compression(const core::ScenarioSummary& s) {
 int main() {
   int failures = 0;
 
-  core::Scenario nonpaced = core::fig4_twoway(0.01, 20);
+  core::Scenario nonpaced =
+      core::make_topo_scenario(core::fig4_twoway(0.01, 20));
   core::ScenarioSummary a = core::run_scenario(nonpaced);
-  core::Scenario paced = core::paced_twoway(0.01, 20);
+  core::Scenario paced = core::make_topo_scenario(core::paced_twoway(0.01, 20));
   core::ScenarioSummary b = core::run_scenario(paced);
 
   util::Table t({"variant", "ACK-compressed", "mean cluster run",

@@ -238,7 +238,7 @@ WorkloadResult run_incast100k(double scale) {
   sim::set_default_timer_backend(sim::TimerBackend::kWheel);
   const long rss_before_kb = peak_rss_kb();
   const double t0 = now_sec();
-  core::Scenario sc = core::incast_scenario(p);
+  core::Scenario sc = core::make_topo_scenario(core::incast_spec(p));
   const long rss_after_kb = peak_rss_kb();
   const std::uint64_t flows =
       static_cast<std::uint64_t>(p.senders) * p.flows_per_sender;
@@ -270,8 +270,8 @@ WorkloadResult run_sweep16(double scale, std::size_t jobs) {
   const double sim_sec = 60.0 * scale;
   const double t0 = now_sec();
   core::SweepTable table = runner.run([&](const core::SweepPoint& pt) {
-    core::Scenario sc = core::fig4_twoway(
-        pt.value("tau"), static_cast<std::size_t>(pt.value("buffer")));
+    core::Scenario sc = core::make_topo_scenario(core::fig4_twoway(
+        pt.value("tau"), static_cast<std::size_t>(pt.value("buffer"))));
     sc.warmup = sim::Time::seconds(10.0 * scale);
     sc.duration = sim::Time::seconds(sim_sec);
     core::ScenarioSummary s = core::run_scenario(sc);
@@ -475,13 +475,13 @@ int main(int argc, char** argv) {
   results.push_back(best_of(reps, [&] { return run_sched_micro(scale); }));
   results.push_back(best_of(reps, [&] { return run_queue_micro(scale); }));
   results.push_back(best_of(reps, [&] {
-    core::Scenario sc = core::fig2_one_way();
+    core::Scenario sc = core::make_topo_scenario(core::fig2_one_way());
     sc.warmup = sim::Time::seconds(50.0 * scale);
     sc.duration = sim::Time::seconds(3000.0 * scale);
     return run_scenario_workload("fig2", std::move(sc));
   }));
   results.push_back(best_of(reps, [&] {
-    core::Scenario sc = core::fig6_twoway();
+    core::Scenario sc = core::make_topo_scenario(core::fig6_twoway());
     sc.warmup = sim::Time::seconds(50.0 * scale);
     sc.duration = sim::Time::seconds(3000.0 * scale);
     return run_scenario_workload("fig6", std::move(sc));
@@ -491,7 +491,7 @@ int main(int argc, char** argv) {
     // Same scenario with every conservation check disabled: the fig6 /
     // fig6_noaudit ratio is the price of the default audit mode.
     results.push_back(best_of(reps, [&] {
-      core::Scenario sc = core::fig6_twoway();
+      core::Scenario sc = core::make_topo_scenario(core::fig6_twoway());
       sc.warmup = sim::Time::seconds(50.0 * scale);
       sc.duration = sim::Time::seconds(3000.0 * scale);
       sc.exp->set_audit_mode(core::AuditMode::kOff);
@@ -507,7 +507,7 @@ int main(int argc, char** argv) {
     // it is part of what the API costs at this flow count.
     const double t0 = now_sec();
     core::ParkingLotParams p;
-    core::Scenario sc = core::parking_lot_scenario(p);
+    core::Scenario sc = core::make_topo_scenario(core::parking_lot_spec(p));
     sc.warmup = sim::Time::seconds(10.0 * scale);
     sc.duration = sim::Time::seconds(30.0 * scale);
     WorkloadResult r = run_scenario_workload("topo512", std::move(sc));
@@ -520,7 +520,8 @@ int main(int argc, char** argv) {
     // and every send consults the model's pacing interval, so this is the
     // one workload where the pacing timer (not the window) meters the
     // senders.
-    core::Scenario sc = core::ccmix_twoway({tcp::CcAlgorithm::kBbr});
+    core::Scenario sc =
+        core::make_topo_scenario(core::ccmix_twoway({tcp::CcAlgorithm::kBbr}));
     sc.warmup = sim::Time::seconds(50.0 * scale);
     sc.duration = sim::Time::seconds(3000.0 * scale);
     return run_scenario_workload("bbr_dumbbell", std::move(sc));
@@ -537,7 +538,8 @@ int main(int argc, char** argv) {
     p.ecn = true;
     p.warmup_sec = 50.0 * scale;
     p.duration_sec = 1000.0 * scale;
-    return run_scenario_workload("red_wave", core::red_wave_scenario(p));
+    return run_scenario_workload(
+        "red_wave", core::make_topo_scenario(core::red_wave_spec(p)));
   }));
   results.push_back(run_incast100k(scale));
   results.push_back(run_sweep16(scale, jobs));

@@ -17,9 +17,10 @@ using namespace tcpdyn;
 int main() {
   int failures = 0;
 
-  core::Scenario tail = core::fig4_twoway(0.01, 20);
+  core::Scenario tail = core::make_topo_scenario(core::fig4_twoway(0.01, 20));
   core::ScenarioSummary a = core::run_scenario(tail);
-  core::Scenario rnd = core::random_drop_twoway(0.01, 20);
+  core::Scenario rnd =
+      core::make_topo_scenario(core::random_drop_twoway(0.01, 20));
   core::ScenarioSummary b = core::run_scenario(rnd);
 
   auto maxcomp = [](const core::ScenarioSummary& s) {

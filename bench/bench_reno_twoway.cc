@@ -16,7 +16,7 @@ using core::Claim;
 int main() {
   int failures = 0;
 
-  core::Scenario sc = core::reno_twoway(0.01, 20);
+  core::Scenario sc = core::make_topo_scenario(core::reno_twoway(0.01, 20));
   core::ScenarioSummary s = core::run_scenario(sc);
   core::print_summary(std::cout, sc.name, s);
   std::cout << '\n';

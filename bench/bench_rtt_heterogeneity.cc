@@ -24,7 +24,8 @@ int main() {
                  "max cluster run", "utilization"});
   std::vector<double> runs;
   for (double spread : spreads) {
-    core::Scenario sc = core::rtt_heterogeneity(3, spread);
+    core::Scenario sc =
+        core::make_topo_scenario(core::rtt_heterogeneity(3, spread));
     core::ScenarioSummary s = core::run_scenario(sc);
     runs.push_back(s.clustering_fwd.mean_run_length);
     t.add_row({util::fmt(spread / tx, 2),

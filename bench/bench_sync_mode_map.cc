@@ -37,8 +37,8 @@ int main() {
                             .progress = false});
   const core::SweepTable result =
       runner.run([](const core::SweepPoint& pt) {
-        core::Scenario sc = core::fig4_twoway(
-            pt.value("tau"), static_cast<std::size_t>(pt.value("buffer")));
+        core::Scenario sc = core::make_topo_scenario(core::fig4_twoway(
+            pt.value("tau"), static_cast<std::size_t>(pt.value("buffer"))));
         if (pt.value("tau") >= 0.5) {
           sc.duration = sim::Time::seconds(800.0);
           sc.epoch_gap_sec = 8.0;

@@ -23,8 +23,7 @@
 // is for.
 #include <iostream>
 
-#include "core/dumbbell.h"
-#include "core/experiment.h"
+#include "core/scenarios.h"
 #include "core/sweep.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
@@ -34,7 +33,8 @@ using namespace tcpdyn;
 namespace {
 
 struct BumpOutcome {
-  int losses_conn0 = 0;  // connection 1's data drops in the cycle after the bump
+  int losses_conn0 =
+      0;  // connection 1's data drops in the cycle after the bump
   int losses_conn1 = 0;
   int ack_drops = 0;
   int drops_before_bump = 0;  // ramp must be loss-free for a clean experiment
@@ -42,23 +42,31 @@ struct BumpOutcome {
 
 constexpr double kBumpTime = 70.0;
 
+// Fixed windows w1 (forward, starting at 0) and w2 (reverse, starting at
+// 1.7 s) on the dumbbell.
+core::TopoSpec fixed_pair(const core::DumbbellParams& p, std::uint32_t w1,
+                          std::uint32_t w2) {
+  core::TopoSpec spec;
+  spec.topo = core::dumbbell_topology(p);
+  core::ConnSpec fwd = core::dumbbell_flow(/*forward=*/true);
+  fwd.kind = tcp::CcAlgorithm::kFixedWindow;
+  fwd.fixed_window = w1;
+  spec.traffic.add(fwd);
+  core::ConnSpec rev = core::dumbbell_flow(/*forward=*/false);
+  rev.kind = tcp::CcAlgorithm::kFixedWindow;
+  rev.fixed_window = w2;
+  rev.start_time = sim::Time::seconds(1.7);
+  spec.traffic.add(rev);
+  return spec;
+}
+
 BumpOutcome run_bump(double tau, std::size_t buffer) {
-  core::Experiment exp;
   core::DumbbellParams p;
   p.tau = sim::Time::seconds(tau);
   p.buffer_fwd = net::QueueLimit::of(buffer);
   p.buffer_rev = net::QueueLimit::of(buffer);
-  const core::DumbbellHandles h = core::build_dumbbell(exp, p);
-
-  std::vector<core::ConnSpec> conns(2);
-  conns[0].forward = true;
-  conns[0].kind = tcp::SenderKind::kFixedWindow;
-  conns[0].fixed_window = 1;
-  conns[1].forward = false;
-  conns[1].kind = tcp::SenderKind::kFixedWindow;
-  conns[1].fixed_window = 1;
-  conns[1].start_time = sim::Time::seconds(1.7);
-  core::add_dumbbell_connections(exp, h, conns);
+  core::Scenario sc = core::make_topo_scenario(fixed_pair(p, 1, 1));
+  core::Experiment& exp = *sc.exp;
 
   // Ramp: +1 packet of window every 1.5 s until 30/25 (done by t ~ 45 s).
   for (std::uint32_t step = 1; step < 30; ++step) {
@@ -113,21 +121,12 @@ struct CounterfactualOutcome {
 };
 
 CounterfactualOutcome run_counterfactual() {
-  core::Experiment exp;
   core::DumbbellParams p;
   p.tau = sim::Time::seconds(1.0);
   p.buffer_fwd = net::QueueLimit::infinite();
   p.buffer_rev = net::QueueLimit::infinite();
-  const core::DumbbellHandles h = core::build_dumbbell(exp, p);
-  std::vector<core::ConnSpec> conns(2);
-  conns[0].forward = true;
-  conns[0].kind = tcp::SenderKind::kFixedWindow;
-  conns[0].fixed_window = 30;
-  conns[1].forward = false;
-  conns[1].kind = tcp::SenderKind::kFixedWindow;
-  conns[1].fixed_window = 25;
-  conns[1].start_time = sim::Time::seconds(1.7);
-  core::add_dumbbell_connections(exp, h, conns);
+  core::Scenario sc = core::make_topo_scenario(fixed_pair(p, 30, 25));
+  core::Experiment& exp = *sc.exp;
   exp.sim().schedule(sim::Time::seconds(kBumpTime), [&exp] {
     exp.connection(0).fixed()->set_window(31);
     exp.connection(1).fixed()->set_window(26);

@@ -36,7 +36,8 @@ int main() {
       "     collapses and the released D2 burst rebuilds Q2.\n"
       "  5. Back to step 1.\n\n";
 
-  core::Scenario scenario = core::fig8_fixed_window(0.01, 30, 25);
+  core::Scenario scenario =
+      core::make_topo_scenario(core::fig8_fixed_window(0.01, 30, 25));
   core::ScenarioSummary s = core::run_scenario(scenario);
 
   core::print_queue_chart(std::cout, s.result.ports[0].queue,

@@ -12,8 +12,9 @@ int main() {
   using namespace tcpdyn;
 
   // A scenario bundles a ready-to-run Experiment with analysis metadata.
-  core::Scenario scenario = core::fig4_twoway(/*tau_sec=*/0.01,
-                                              /*buffer=*/20);
+  core::Scenario scenario =
+      core::make_topo_scenario(core::fig4_twoway(/*tau_sec=*/0.01,
+                                                 /*buffer=*/20));
   scenario.warmup = sim::Time::seconds(20.0);
   scenario.duration = sim::Time::seconds(100.0);
 

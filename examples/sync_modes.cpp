@@ -14,8 +14,9 @@
 
 namespace {
 
-void run_case(const char* title, tcpdyn::core::Scenario scenario) {
+void run_case(const char* title, const tcpdyn::core::TopoSpec& spec) {
   using namespace tcpdyn;
+  core::Scenario scenario = core::make_topo_scenario(spec);
   core::ScenarioSummary s = core::run_scenario(scenario);
   std::cout << "=== " << title << " ===\n";
   core::print_queue_chart(std::cout, s.result.ports[0].queue,

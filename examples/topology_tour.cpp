@@ -34,23 +34,19 @@ int main() {
   topo.monitor(sw[0], sw[1]);  // the tie-break winner: via R2, not R4
   topo.monitor(sw[1], sw[0]);
 
-  core::Scenario sc;
-  sc.name = "topology tour: 4-switch ring, 8 flows A->B";
-  sc.exp = std::make_unique<core::Experiment>();
-  sc.warmup = sim::Time::seconds(20.0);
-  sc.duration = sim::Time::seconds(80.0);
-  const core::CompiledTopology compiled = topo.compile(*sc.exp);
-
-  core::TrafficMatrix traffic;
+  core::TopoSpec spec;
+  spec.name = "topology tour: 4-switch ring, 8 flows A->B";
+  spec.topo = topo;
+  spec.warmup = sim::Time::seconds(20.0);
+  spec.duration = sim::Time::seconds(80.0);
   core::ConnSpec flows;
   flows.src = "A";
   flows.dst = "B";
   flows.count = 8;
   flows.start_spread = sim::Time::seconds(5.0);
   flows.seed = 42;
-  traffic.add(flows);
-  traffic.instantiate(*sc.exp, compiled);
-  sc.tahoe_connections = traffic.adaptive_flow_count();
+  spec.traffic.add(flows);
+  core::Scenario sc = core::make_topo_scenario(spec);
   core::print_summary(std::cout, sc.name, core::run_scenario(sc));
 
   // 3: the same idea in file form.

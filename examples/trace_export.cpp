@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
 
   struct Job {
     const char* prefix;
-    core::Scenario scenario;
+    core::TopoSpec spec;
   };
   std::vector<Job> jobs;
   jobs.push_back({"fig2", core::fig2_one_way(3, 1.0, 20)});
@@ -29,8 +29,9 @@ int main(int argc, char** argv) {
   jobs.push_back({"fig9", core::fig8_fixed_window(1.0, 30, 25)});
 
   for (auto& job : jobs) {
-    std::cout << "running " << job.scenario.name << " ... " << std::flush;
-    core::ScenarioSummary s = core::run_scenario(job.scenario);
+    std::cout << "running " << job.spec.name << " ... " << std::flush;
+    core::Scenario scenario = core::make_topo_scenario(job.spec);
+    core::ScenarioSummary s = core::run_scenario(scenario);
     const auto written = core::export_csv(s.result, dir, job.prefix);
     std::cout << written.size() << " files\n";
     for (const auto& path : written) std::cout << "  " << path << '\n';

@@ -1,7 +1,7 @@
-// ConnSpec: the one flow specification shared by every scenario-building
-// layer. The dumbbell builder, the chain builder, and the Topology traffic
-// matrix all consume the same struct, so a connection configured for one
-// topology can be moved to another without translation. A spec can also
+// ConnSpec: the one flow specification of the scenario layer. Every
+// scenario is a TopoSpec whose TrafficMatrix holds ConnSpecs naming their
+// endpoints by topology node name, so a connection configured for one
+// topology moves to another by renaming its endpoints. A spec can also
 // describe a *schedule* of several identical flows (`count` > 1) whose start
 // times are jittered from the spec's own seeded RNG stream.
 #pragma once
@@ -15,19 +15,13 @@ namespace tcpdyn::core {
 
 struct ConnSpec {
   // --- endpoints -------------------------------------------------------
-  // Topology traffic addresses endpoints by node name, resolved when the
-  // matrix is instantiated against a compiled topology. Builders that
-  // already hold NodeIds set src_id/dst_id instead (ids win over names).
-  // The dumbbell adapter keeps the legacy `forward` shorthand for specs
-  // that set neither: data flows Host-1 -> Host-2 when true.
+  // Node names, resolved when the matrix is instantiated against a compiled
+  // topology.
   std::string src;
   std::string dst;
-  net::NodeId src_id = net::kInvalidNode;
-  net::NodeId dst_id = net::kInvalidNode;
-  bool forward = true;
 
   // --- per-connection knobs -----------------------------------------
-  tcp::SenderKind kind = tcp::SenderKind::kTahoe;
+  tcp::CcAlgorithm kind = tcp::CcAlgorithm::kTahoe;
   std::uint32_t fixed_window = 10;
   bool delayed_ack = false;
   bool ecn = false;  // both endpoints negotiate ECT/ECE/CWR
@@ -44,7 +38,7 @@ struct ConnSpec {
   tcp::VegasParams vegas;      // only for kVegas
   tcp::BbrParams bbr;          // only for kBbr
 
-  // --- flow schedule (TrafficMatrix only) ------------------------------
+  // --- flow schedule -------------------------------------------------
   // The spec expands to `count` flows; flow j starts at start_time plus a
   // uniform draw from [0, start_spread) taken from Rng(seed), so adding or
   // reordering other specs never perturbs this spec's start times.

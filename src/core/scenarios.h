@@ -1,8 +1,10 @@
 // Scenario factories: one per paper artifact (figure or prose experiment),
-// wiring up the exact configuration of §2.2/§3/§4/§5, plus a generic
-// summarizer computing every derived quantity the paper reports. Benches,
-// tests, and examples all run figures through this layer, so the
-// paper-vs-measured comparison lives in exactly one place.
+// each returning the TopoSpec of the exact configuration of §2.2/§3/§4/§5,
+// plus the one builder that turns a TopoSpec into a runnable Scenario and a
+// generic summarizer computing every derived quantity the paper reports.
+// Benches, tests, examples, and both tools run figures through this layer,
+// so the paper-vs-measured comparison lives in exactly one place, and every
+// scenario also runs unchanged through core::ShardedEngine.
 #pragma once
 
 #include <memory>
@@ -13,6 +15,7 @@
 #include "core/chain.h"
 #include "core/dumbbell.h"
 #include "core/experiment.h"
+#include "core/topology.h"
 
 namespace tcpdyn::core {
 
@@ -25,9 +28,12 @@ struct Scenario {
   sim::Time duration;
   // Drops separated by more than this belong to different congestion epochs.
   double epoch_gap_sec = 2.0;
-  std::size_t tahoe_connections = 0;  // for the acceleration prediction
-  DumbbellParams dumbbell;            // valid for dumbbell scenarios
 };
+
+// Builds a runnable scenario from a spec: compiles the graph, instantiates
+// the traffic matrix, applies any fault plan, and carries over the run
+// parameters.
+Scenario make_topo_scenario(const TopoSpec& spec);
 
 // Everything the analysis layer derives from one run.
 struct ScenarioSummary {
@@ -59,60 +65,62 @@ ScenarioSummary summarize_result(ExperimentResult result,
 // --- §3.1 / Fig. 2: one-way traffic -----------------------------------
 // `conns` Tahoe connections Host-1 -> Host-2. Defaults are the figure's:
 // 3 connections, tau = 1 s, 20-packet buffers.
-Scenario fig2_one_way(std::size_t conns = 3, double tau_sec = 1.0,
+TopoSpec fig2_one_way(std::size_t conns = 3, double tau_sec = 1.0,
                       std::size_t buffer = 20);
 
 // --- §3.2 / Fig. 3: ten connections, five per direction ---------------
-Scenario fig3_ten_connections(std::size_t buffer = 30,
+TopoSpec fig3_ten_connections(std::size_t buffer = 30,
                               std::size_t per_direction = 5);
 
 // --- §4.1/§4.3 / Figs. 4-7: two-way traffic, one connection each way ---
 // Figs. 4-5: tau = 0.01 s (small pipe, out-of-phase).
 // Figs. 6-7: tau = 1 s (large pipe, in-phase).
-Scenario fig4_twoway(double tau_sec = 0.01, std::size_t buffer = 20);
-Scenario fig6_twoway(double tau_sec = 1.0, std::size_t buffer = 20);
+TopoSpec fig4_twoway(double tau_sec = 0.01, std::size_t buffer = 20);
+TopoSpec fig6_twoway(double tau_sec = 1.0, std::size_t buffer = 20);
 
 // --- §4.2 / Figs. 8-9: fixed windows 30/25, infinite buffers -----------
-Scenario fig8_fixed_window(double tau_sec = 0.01, std::uint32_t w1 = 30,
+TopoSpec fig8_fixed_window(double tau_sec = 0.01, std::uint32_t w1 = 30,
                            std::uint32_t w2 = 25);
 
 // --- §4.3.3: zero-length-ACK fixed-window system -----------------------
-Scenario zero_ack_fixed(std::uint32_t w1, std::uint32_t w2, double tau_sec);
+TopoSpec zero_ack_fixed(std::uint32_t w1, std::uint32_t w2, double tau_sec);
 
 // --- §5: delayed-ACK option on, two-way traffic ------------------------
-Scenario delayed_ack_twoway(std::uint32_t maxwnd, double tau_sec = 0.01,
+TopoSpec delayed_ack_twoway(std::uint32_t maxwnd, double tau_sec = 0.01,
                             std::size_t buffer = 20);
 
 // --- §5: four-switch chain, many connections, 1-3 hop paths ------------
-Scenario four_switch_chain(std::size_t connections = 50,
+// Path lengths cycle 1, 2, 3; endpoints, direction, and start time (within
+// [0, 1) s) of every connection come from one Rng(seed) stream.
+TopoSpec four_switch_chain(std::size_t connections = 50,
                            std::uint64_t seed = 7);
 
 // --- E12 ablation: paced two-way traffic --------------------------------
 // Data packets leave each source no faster than one per bottleneck data
 // transmission time; the paper predicts this removes clustering and with it
 // ACK-compression.
-Scenario paced_twoway(double tau_sec = 0.01, std::size_t buffer = 20);
+TopoSpec paced_twoway(double tau_sec = 0.01, std::size_t buffer = 20);
 
 // --- E14 extension: Reno (fast recovery) under two-way traffic ----------
 // Tests the paper's conjecture that ACK-compression and the synchronization
 // modes afflict ANY nonpaced window algorithm, not just Tahoe.
-Scenario reno_twoway(double tau_sec = 0.01, std::size_t buffer = 20);
+TopoSpec reno_twoway(double tau_sec = 0.01, std::size_t buffer = 20);
 
 // --- E15 ablation: random-drop gateway discipline ------------------------
 // Replaces drop-tail at the bottleneck with the Random Drop discipline of
 // the studies the paper cites ([4, 5, 10, 18]).
-Scenario random_drop_twoway(double tau_sec = 0.01, std::size_t buffer = 20);
+TopoSpec random_drop_twoway(double tau_sec = 0.01, std::size_t buffer = 20);
 
 // --- E16 — §5 claim: heterogeneous round-trip times break clustering -----
 // `spread` scales the per-connection access propagation delays: 0 gives
 // identical RTTs (complete clustering); >= one bottleneck data transmission
 // time (0.08 s) destroys perfect clustering.
-Scenario rtt_heterogeneity(std::size_t conns, double spread_sec,
+TopoSpec rtt_heterogeneity(std::size_t conns, double spread_sec,
                            double tau_sec = 0.01, std::size_t buffer = 20);
 
 // --- §2.1 ablation: the paper's modified congestion-avoidance increment --
 // modified = false reinstates the original BSD cwnd += 1/cwnd anomaly.
-Scenario increment_ablation(bool modified, double tau_sec = 1.0,
+TopoSpec increment_ablation(bool modified, double tau_sec = 1.0,
                             std::size_t buffer = 20);
 
 }  // namespace tcpdyn::core

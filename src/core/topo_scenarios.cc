@@ -8,24 +8,6 @@
 
 namespace tcpdyn::core {
 
-Scenario make_topo_scenario(const TopoSpec& spec) {
-  Scenario s;
-  s.name = spec.name;
-  s.exp = std::make_unique<Experiment>();
-  s.warmup = spec.warmup;
-  s.duration = spec.duration;
-  s.epoch_gap_sec = spec.epoch_gap_sec;
-  s.tahoe_connections = spec.traffic.adaptive_flow_count();
-  s.exp->set_monitor_mode(spec.monitor_mode);
-  s.exp->set_flow_instrumentation(spec.per_flow_traces);
-  const CompiledTopology c = spec.topo.compile(*s.exp);
-  spec.traffic.instantiate(*s.exp, c);
-  // Faults last: impairments attach now; outages and parameter changes
-  // become scheduler events that fire inside Experiment::run.
-  spec.faults.apply(*s.exp, c);
-  return s;
-}
-
 // ---------------------------------------------------------------- chaos
 
 TopoSpec chaos_spec(const ChaosParams& p) {
@@ -103,10 +85,6 @@ TopoSpec chaos_spec(const ChaosParams& p) {
   return spec;
 }
 
-Scenario chaos_scenario(const ChaosParams& p) {
-  return make_topo_scenario(chaos_spec(p));
-}
-
 // ------------------------------------------------------------- red wave
 
 TopoSpec red_wave_spec(const RedWaveParams& p) {
@@ -168,10 +146,6 @@ TopoSpec red_wave_spec(const RedWaveParams& p) {
   return spec;
 }
 
-Scenario red_wave_scenario(const RedWaveParams& p) {
-  return make_topo_scenario(red_wave_spec(p));
-}
-
 // ----------------------------------------------------------------- ring
 
 Topology ring_topology(const RingParams& p) {
@@ -214,10 +188,6 @@ TopoSpec ring_spec(const RingParams& p) {
     spec.traffic.add(std::move(c));
   }
   return spec;
-}
-
-Scenario ring_scenario(const RingParams& p) {
-  return make_topo_scenario(ring_spec(p));
 }
 
 // ---------------------------------------------------------- parking lot
@@ -276,10 +246,6 @@ TopoSpec parking_lot_spec(const ParkingLotParams& p) {
   return spec;
 }
 
-Scenario parking_lot_scenario(const ParkingLotParams& p) {
-  return make_topo_scenario(parking_lot_spec(p));
-}
-
 // ------------------------------------------------------ datacenter incast
 
 Topology incast_topology(const IncastParams& p) {
@@ -325,10 +291,6 @@ TopoSpec incast_spec(const IncastParams& p) {
     spec.traffic.add(std::move(c));
   }
   return spec;
-}
-
-Scenario incast_scenario(const IncastParams& p) {
-  return make_topo_scenario(incast_spec(p));
 }
 
 // --------------------------------------------------------------- Waxman
@@ -403,10 +365,6 @@ TopoSpec waxman_spec(const WaxmanParams& p) {
     spec.traffic.add(std::move(c));
   }
   return spec;
-}
-
-Scenario waxman_scenario(const WaxmanParams& p) {
-  return make_topo_scenario(waxman_spec(p));
 }
 
 }  // namespace tcpdyn::core

@@ -1,9 +1,8 @@
-// Scenario factories over the general core::Topology layer: graphs the
-// dumbbell/chain builders cannot express (cycles, parking lots, random
-// Waxman meshes) and scenarios loaded from topology files. These exercise
-// the deterministic Dijkstra routing (equal-cost paths exist in the ring)
-// and the flow-schedule layer at scale (the parking lot defaults to 512
-// concurrent Tahoe flows).
+// Scenario factories beyond the paper's dumbbell and chain: graphs with
+// cycles, parking lots, random Waxman meshes, incast, and link dynamics.
+// These exercise the deterministic Dijkstra routing (equal-cost paths exist
+// in the ring) and the flow-schedule layer at scale (the parking lot
+// defaults to 512 concurrent Tahoe flows).
 #pragma once
 
 #include <cstdint>
@@ -14,12 +13,6 @@
 #include "tcp/congestion_control.h"
 
 namespace tcpdyn::core {
-
-// Builds a runnable scenario from a parsed topology-file spec (the
-// `tcpdyn_run topo --file=...` path): compiles the graph, instantiates the
-// traffic matrix, applies any fault plan, and carries over the run
-// parameters.
-Scenario make_topo_scenario(const TopoSpec& spec);
 
 // --- chaos: the two-way dumbbell under link dynamics ----------------------
 // The paper's Fig. 4 setup — two-way Tahoe traffic over one bottleneck —
@@ -49,10 +42,7 @@ struct ChaosParams {
   double duration_sec = 400.0;
 };
 
-// The TopoSpec (graph + traffic + fault plan) behind the scenario, exposed
-// so tools can inspect or re-parameterize it.
 TopoSpec chaos_spec(const ChaosParams& params);
-Scenario chaos_scenario(const ChaosParams& params);
 
 // --- red wave (E21): qdisc zoo on a trunk chain ---------------------------
 // A chain of `hops` trunk links carrying two-way end-to-end traffic, every
@@ -79,7 +69,6 @@ struct RedWaveParams {
 };
 
 TopoSpec red_wave_spec(const RedWaveParams& params);
-Scenario red_wave_scenario(const RedWaveParams& params);
 
 // --- ring: N switches in a cycle, one host each --------------------------
 // The smallest topology with equal-cost path ties (an even-length ring has
@@ -99,7 +88,6 @@ struct RingParams {
 
 Topology ring_topology(const RingParams& params);
 TopoSpec ring_spec(const RingParams& params);
-Scenario ring_scenario(const RingParams& params);
 
 // --- parking lot: a trunk chain with per-hop cross traffic ----------------
 // `hops` trunk links; long flows traverse the whole trunk while each hop
@@ -123,7 +111,6 @@ struct ParkingLotParams {
 
 Topology parking_lot_topology(const ParkingLotParams& params);
 TopoSpec parking_lot_spec(const ParkingLotParams& params);
-Scenario parking_lot_scenario(const ParkingLotParams& params);
 
 // --- datacenter incast: N-to-1 fan-in with open-loop session churn --------
 // `senders` hosts on one switch all transmit to a single sink host behind
@@ -158,7 +145,6 @@ struct IncastParams {
 
 Topology incast_topology(const IncastParams& params);
 TopoSpec incast_spec(const IncastParams& params);
-Scenario incast_scenario(const IncastParams& params);
 
 // --- Waxman: random geometric mesh ----------------------------------------
 // Switches at random unit-square coordinates, wired as a random spanning
@@ -184,6 +170,5 @@ struct WaxmanParams {
 
 Topology waxman_topology(const WaxmanParams& params);
 TopoSpec waxman_spec(const WaxmanParams& params);
-Scenario waxman_scenario(const WaxmanParams& params);
 
 }  // namespace tcpdyn::core

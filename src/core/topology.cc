@@ -56,20 +56,6 @@ void Topology::add_link(const LinkSpec& link) {
 
 void Topology::add_link(std::size_t a, std::size_t b,
                         std::int64_t bits_per_second, sim::Time delay,
-                        net::QueueLimit buffer, net::DropPolicy policy) {
-  LinkSpec l;
-  l.a = a;
-  l.b = b;
-  l.bits_per_second = bits_per_second;
-  l.delay = delay;
-  l.buffer_ab = buffer;
-  l.buffer_ba = buffer;
-  l.policy = policy;
-  add_link(l);
-}
-
-void Topology::add_link(std::size_t a, std::size_t b,
-                        std::int64_t bits_per_second, sim::Time delay,
                         net::QueueLimit buffer,
                         const net::QdiscConfig& qdisc) {
   LinkSpec l;
@@ -160,15 +146,10 @@ CompiledTopology Topology::compile(Experiment& exp,
     out.by_name[d.name] = id;
   }
   for (const LinkSpec& l : links_) {
-    if (l.qdisc.has_value()) {
-      net.connect(out.node_ids[l.a], out.node_ids[l.b], l.bits_per_second,
-                  l.delay, l.buffer_ab, l.buffer_ba, *l.qdisc);
-    } else {
-      net.connect(out.node_ids[l.a], out.node_ids[l.b], l.bits_per_second,
-                  l.delay, l.buffer_ab, l.buffer_ba, l.policy);
-    }
+    net.connect(out.node_ids[l.a], out.node_ids[l.b], l.bits_per_second,
+                l.delay, l.buffer_ab, l.buffer_ba, l.qdisc);
   }
-  net.compute_routes(net::Network::RouteMetric::kDelay, route_ref_bytes);
+  net.compute_routes(route_ref_bytes);
   for (const auto& [a, b] : monitors_) {
     exp.monitor(out.node_ids[a], out.node_ids[b]);
   }
@@ -194,38 +175,18 @@ std::size_t TrafficMatrix::flow_count() const {
 std::size_t TrafficMatrix::adaptive_flow_count() const {
   std::size_t n = 0;
   for (const ConnSpec& s : specs_) {
-    if (s.kind != tcp::SenderKind::kFixedWindow) n += s.count;
+    if (s.kind != tcp::CcAlgorithm::kFixedWindow) n += s.count;
   }
   return n;
 }
 
 std::size_t TrafficMatrix::instantiate(Experiment& exp,
                                        const CompiledTopology& topo) const {
-  return instantiate_impl(exp, &topo);
-}
-
-std::size_t TrafficMatrix::instantiate(Experiment& exp) const {
-  return instantiate_impl(exp, nullptr);
-}
-
-std::size_t TrafficMatrix::instantiate_impl(
-    Experiment& exp, const CompiledTopology* topo) const {
   net::ConnId next_id = static_cast<net::ConnId>(exp.connection_count());
   std::size_t added = 0;
-  for (std::size_t k = 0; k < specs_.size(); ++k) {
-    const ConnSpec& s = specs_[k];
-    const auto resolve = [&](net::NodeId id, const std::string& name,
-                             const char* which) {
-      if (id != net::kInvalidNode) return id;
-      if (name.empty() || topo == nullptr) {
-        throw std::invalid_argument("ConnSpec " + std::to_string(k) +
-                                    " has no resolvable " + which +
-                                    " endpoint");
-      }
-      return topo->id(name);
-    };
-    const net::NodeId src = resolve(s.src_id, s.src, "src");
-    const net::NodeId dst = resolve(s.dst_id, s.dst, "dst");
+  for (const ConnSpec& s : specs_) {
+    const net::NodeId src = topo.id(s.src);
+    const net::NodeId dst = topo.id(s.dst);
     util::Rng rng(s.seed);
     double arrival_sec = 0.0;  // accumulated Poisson inter-arrival gaps
     for (std::size_t j = 0; j < s.count; ++j) {
@@ -328,64 +289,48 @@ TopoSpec parse_topology(std::istream& in) {
       l.buffer_ab = to_buffer(args[4], lineno);
       l.buffer_ba = to_buffer(args[5], lineno);
       if (args.size() > 6) {
-        std::optional<net::QdiscKind> kind;
-        bool ecn = false;
+        net::QdiscConfig& q = l.qdisc;
         // The registry supplies the did-you-mean error text; tag it with
         // the .topo line number.
         try {
           const net::QdiscChoice& choice =
               net::qdisc_registry().require(args[6], "queue discipline");
-          kind = choice.kind;
-          ecn = choice.ecn;
+          q.kind = choice.kind;
+          q.red.ecn = choice.ecn;
         } catch (const std::invalid_argument& e) {
           parse_error(lineno, e.what());
         }
-        if (*kind == net::QdiscKind::kDropTail ||
-            *kind == net::QdiscKind::kRandomDrop) {
-          // Historic pair: stay on the drop-policy path (byte-identical to
-          // pre-qdisc files).
-          if (*kind == net::QdiscKind::kRandomDrop) {
-            l.policy = net::DropPolicy::kRandomDrop;
+        if ((q.kind == net::QdiscKind::kDropTail ||
+             q.kind == net::QdiscKind::kRandomDrop) &&
+            args.size() > 7) {
+          parse_error(lineno, "'" + args[6] + "' takes no options");
+        }
+        for (std::size_t i = 7; i < args.size(); ++i) {
+          const auto eq = args[i].find('=');
+          if (eq == std::string::npos) {
+            parse_error(lineno, "qdisc options are key=value, got '" +
+                                    args[i] + "'");
           }
-          if (args.size() > 7) {
-            parse_error(lineno, "'" + args[6] + "' takes no options");
-          }
-        } else {
-          net::QdiscConfig q;
-          q.kind = *kind;
-          q.red.ecn = ecn;
-          for (std::size_t i = 7; i < args.size(); ++i) {
-            const auto eq = args[i].find('=');
-            if (eq == std::string::npos) {
-              parse_error(lineno, "qdisc options are key=value, got '" +
-                                      args[i] + "'");
+          const std::string key = args[i].substr(0, eq);
+          const std::string val = args[i].substr(eq + 1);
+          if (key == "min_th") {
+            q.red.min_th = static_cast<std::size_t>(to_int(val, lineno, key));
+          } else if (key == "max_th") {
+            q.red.max_th = static_cast<std::size_t>(to_int(val, lineno, key));
+          } else if (key == "wq_shift") {
+            q.red.wq_shift = static_cast<unsigned>(to_int(val, lineno, key));
+          } else if (key == "max_p") {
+            const double p = to_double(val, lineno, key);
+            if (p <= 0.0 || p > 1.0) {
+              parse_error(lineno, "max_p must be in (0, 1]");
             }
-            const std::string key = args[i].substr(0, eq);
-            const std::string val = args[i].substr(eq + 1);
-            if (key == "min_th") {
-              q.red.min_th =
-                  static_cast<std::size_t>(to_int(val, lineno, key));
-            } else if (key == "max_th") {
-              q.red.max_th =
-                  static_cast<std::size_t>(to_int(val, lineno, key));
-            } else if (key == "wq_shift") {
-              q.red.wq_shift =
-                  static_cast<unsigned>(to_int(val, lineno, key));
-            } else if (key == "max_p") {
-              const double p = to_double(val, lineno, key);
-              if (p <= 0.0 || p > 1.0) {
-                parse_error(lineno, "max_p must be in (0, 1]");
-              }
-              q.red.max_p_65536 =
-                  static_cast<std::uint32_t>(p * 65536.0 + 0.5);
-            } else if (key == "quantum") {
-              q.drr.quantum_bytes =
-                  static_cast<std::size_t>(to_int(val, lineno, key));
-            } else {
-              parse_error(lineno, "unknown qdisc option '" + key + "'");
-            }
+            q.red.max_p_65536 = static_cast<std::uint32_t>(p * 65536.0 + 0.5);
+          } else if (key == "quantum") {
+            q.drr.quantum_bytes =
+                static_cast<std::size_t>(to_int(val, lineno, key));
+          } else {
+            parse_error(lineno, "unknown qdisc option '" + key + "'");
           }
-          l.qdisc = q;
         }
       }
       spec.topo.add_link(l);

@@ -1,15 +1,14 @@
 // Topology + TrafficMatrix: the general scenario-building layer.
 //
 // A Topology is a declarative description of an arbitrary network graph —
-// named hosts and switches, duplex links with rate/delay/buffer/drop-policy,
-// and which transmit ports to monitor. compile() materializes it onto an
-// Experiment: nodes are created in declaration order (so the topology index
-// IS the net::NodeId), links in declaration order, static shortest-path
-// routes are computed with Dijkstra over link serialization+propagation cost
-// (distance ties broken by smallest node id), and monitors attach in
-// monitor() call order. The dumbbell and chain builders are thin adapters
-// over this layer and produce networks identical to their historic
-// hand-rolled construction.
+// named hosts and switches, duplex links with rate/delay/buffer/queue
+// discipline, and which transmit ports to monitor. compile() materializes it
+// onto an Experiment: nodes are created in declaration order (so the
+// topology index IS the net::NodeId), links in declaration order, static
+// shortest-path routes are computed with Dijkstra over link
+// serialization+propagation cost (distance ties broken by smallest node id),
+// and monitors attach in monitor() call order. Every scenario, the paper's
+// dumbbell and chain included, is built through this layer.
 //
 // A TrafficMatrix is the flow-schedule layer: an ordered list of ConnSpecs,
 // each expanding to `count` flows whose start jitter is drawn from the
@@ -23,7 +22,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,11 +39,9 @@ struct LinkSpec {
   sim::Time delay = sim::Time::microseconds(100);
   net::QueueLimit buffer_ab = net::QueueLimit::infinite();
   net::QueueLimit buffer_ba = net::QueueLimit::infinite();
-  net::DropPolicy policy = net::DropPolicy::kDropTail;
-  // Full discipline zoo (RED, DRR, ...): when set, both directions get this
-  // config (each with its own buffer limit above) and `policy` is ignored.
-  // Unset keeps the historic drop-policy path, byte for byte.
-  std::optional<net::QdiscConfig> qdisc;
+  // Discipline for both directions (drop-tail by default); each direction
+  // overrides the config's limit with its own buffer above.
+  net::QdiscConfig qdisc;
 };
 
 // The result of compiling a Topology: topology node index -> net::NodeId
@@ -72,11 +68,7 @@ class Topology {
   void add_link(std::size_t a, std::size_t b, std::int64_t bits_per_second,
                 sim::Time delay,
                 net::QueueLimit buffer = net::QueueLimit::infinite(),
-                net::DropPolicy policy = net::DropPolicy::kDropTail);
-  // Convenience: symmetric buffers with a full discipline config.
-  void add_link(std::size_t a, std::size_t b, std::int64_t bits_per_second,
-                sim::Time delay, net::QueueLimit buffer,
-                const net::QdiscConfig& qdisc);
+                const net::QdiscConfig& qdisc = {});
 
   // Marks the transmit port a->b for monitoring; ExperimentResult ports are
   // ordered by monitor() call order. The link must exist.
@@ -93,7 +85,7 @@ class Topology {
   const std::vector<LinkSpec>& links() const { return links_; }
 
   // Builds the described network inside `exp`, computes Dijkstra routes
-  // (RouteMetric::kDelay, reference packet `route_ref_bytes`), and attaches
+  // (reference packet `route_ref_bytes`), and attaches
   // the monitors. Throws std::invalid_argument if the graph is disconnected
   // (a packet would hit a switch with no route). May be called once per
   // Experiment.
@@ -119,8 +111,8 @@ class Topology {
 // Ordered flow schedule instantiated against a compiled topology.
 class TrafficMatrix {
  public:
-  // Appends a spec; returns its index. Endpoints may be names (resolved at
-  // instantiation) or explicit NodeIds.
+  // Appends a spec; returns its index. Endpoint names resolve at
+  // instantiation.
   std::size_t add(ConnSpec spec);
 
   const std::vector<ConnSpec>& specs() const { return specs_; }
@@ -135,22 +127,17 @@ class TrafficMatrix {
   // order starting at exp.connection_count(). Start jitter for spec k's
   // flows is drawn from Rng(spec.seed), one uniform draw per flow, so specs
   // never perturb each other. Returns the number of flows added. Throws
-  // std::invalid_argument for unresolvable endpoints.
+  // std::out_of_range for endpoint names the topology does not declare.
   std::size_t instantiate(Experiment& exp, const CompiledTopology& topo) const;
 
-  // Variant for specs that carry explicit NodeIds only (no compiled topology
-  // needed); throws if any spec names an endpoint by string.
-  std::size_t instantiate(Experiment& exp) const;
-
  private:
-  std::size_t instantiate_impl(Experiment& exp,
-                               const CompiledTopology* topo) const;
-
   std::vector<ConnSpec> specs_;
 };
 
-// A parsed topology-file scenario: graph, traffic, run parameters, and any
-// fault schedule declared alongside them.
+// A scenario: graph, traffic, run parameters, and any fault schedule. Every
+// scenario factory returns one and a topology file parses into one;
+// make_topo_scenario (core/scenarios.h) builds it into a runnable Scenario
+// and core::ShardedEngine runs it across shards.
 struct TopoSpec {
   std::string name = "topo";
   Topology topo;

@@ -40,36 +40,20 @@ class Network {
 
   // Creates a duplex link between a and b: one output port on each side,
   // with independent buffers (paper: no buffer sharing between lines) and a
-  // shared discard discipline. A host may have at most one link (its access
-  // link).
+  // shared discipline config (drop-tail unless given), whose limit each
+  // direction overrides with its own buffer. A host may have at most one
+  // link (its access link).
   void connect(NodeId a, NodeId b, std::int64_t bits_per_second,
                sim::Time propagation_delay, QueueLimit queue_a_to_b,
-               QueueLimit queue_b_to_a,
-               DropPolicy policy = DropPolicy::kDropTail);
-
-  // General variant: both directions get the shared discipline config with
-  // per-direction buffer limits. The per-port RNG seed derivation is the
-  // same as the policy overload's, so droptail/randomdrop configs reproduce
-  // those runs byte for byte.
-  void connect(NodeId a, NodeId b, std::int64_t bits_per_second,
-               sim::Time propagation_delay, QueueLimit queue_a_to_b,
-               QueueLimit queue_b_to_a, const QdiscConfig& qdisc);
-
-  // Shortest-path metric for compute_routes.
-  //   kHops  — BFS hop count; ties broken by link insertion order (the
-  //            historic builder behaviour).
-  //   kDelay — Dijkstra over per-link cost = serialization time of one
-  //            reference packet (route_ref_bytes) + propagation delay, in
-  //            integer nanoseconds so the comparison is exact; ties broken
-  //            by smallest next-hop node id. The Topology layer compiles
-  //            with this metric.
-  enum class RouteMetric : std::uint8_t { kHops, kDelay };
+               QueueLimit queue_b_to_a, const QdiscConfig& qdisc = {});
 
   // Populates every switch's routing table with shortest-path next hops
-  // toward every host, under the chosen metric. Deterministic for a given
-  // construction sequence. Must be called after all connect() calls.
-  void compute_routes(RouteMetric metric = RouteMetric::kHops,
-                      std::int64_t route_ref_bytes = 500);
+  // toward every host: Dijkstra over per-link cost = serialization time of
+  // one reference packet (route_ref_bytes) + propagation delay, in integer
+  // nanoseconds so the comparison is exact; ties broken by smallest next-hop
+  // node id. Deterministic for a given construction sequence. Must be
+  // called after all connect() calls.
+  void compute_routes(std::int64_t route_ref_bytes = 500);
 
   Host& host(NodeId id);
   Switch& switch_node(NodeId id);
@@ -97,8 +81,6 @@ class Network {
   sim::Simulator& sim() { return sim_; }
 
  private:
-  void compute_routes_hops();
-  void compute_routes_delay(std::int64_t route_ref_bytes);
   void set_switch_route(NodeId sw_id, NodeId dst, NodeId via);
 
   struct NodeSlot {

@@ -8,18 +8,6 @@ namespace tcpdyn::net {
 
 OutputPort::OutputPort(sim::Simulator& sim, std::string name,
                        std::int64_t bits_per_second,
-                       sim::Time propagation_delay, QueueLimit limit,
-                       DropPolicy policy, std::uint64_t drop_seed)
-    : sim_(sim),
-      name_(std::move(name)),
-      bits_per_second_(bits_per_second),
-      propagation_delay_(propagation_delay),
-      queue_(std::make_unique<DropTailQueue>(limit, policy, drop_seed)) {
-  assert(bits_per_second > 0);
-}
-
-OutputPort::OutputPort(sim::Simulator& sim, std::string name,
-                       std::int64_t bits_per_second,
                        sim::Time propagation_delay, const QdiscConfig& qdisc,
                        std::uint64_t drop_seed)
     : sim_(sim),

@@ -49,8 +49,8 @@
 
 namespace tcpdyn::net {
 
-// What to discard when a packet arrives at a full buffer (the historic
-// pre-QueueDiscipline selector, kept for the original construction surface).
+// DropTailQueue's mode: what to discard when a packet arrives at a full
+// buffer. Ports select it through QdiscKind::kDropTail / kRandomDrop.
 enum class DropPolicy : std::uint8_t {
   kDropTail,    // discard the arriving packet (paper default)
   kRandomDrop,  // discard a uniformly random occupant; admit the arrival

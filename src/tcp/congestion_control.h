@@ -54,10 +54,6 @@ enum class CcAlgorithm : std::uint8_t {
   kFixedWindow,
 };
 
-// Historic name, kept so existing call sites (SenderKind::kTahoe, ...) read
-// unchanged.
-using SenderKind = CcAlgorithm;
-
 const char* to_string(CcAlgorithm algo);
 
 // The single name<->algorithm table: powers the --cc flags, .topo `kind=`

@@ -61,43 +61,43 @@ Connection::Connection(net::Network& network, ConnectionConfig config)
 }
 
 TahoeCc* Connection::tahoe() {
-  return config_.kind == SenderKind::kTahoe
+  return config_.kind == CcAlgorithm::kTahoe
              ? static_cast<TahoeCc*>(&sender_->cc())
              : nullptr;
 }
 
 RenoCc* Connection::reno() {
-  return config_.kind == SenderKind::kReno
+  return config_.kind == CcAlgorithm::kReno
              ? static_cast<RenoCc*>(&sender_->cc())
              : nullptr;
 }
 
 NewRenoCc* Connection::newreno() {
-  return config_.kind == SenderKind::kNewReno
+  return config_.kind == CcAlgorithm::kNewReno
              ? static_cast<NewRenoCc*>(&sender_->cc())
              : nullptr;
 }
 
 CubicCc* Connection::cubic() {
-  return config_.kind == SenderKind::kCubic
+  return config_.kind == CcAlgorithm::kCubic
              ? static_cast<CubicCc*>(&sender_->cc())
              : nullptr;
 }
 
 VegasCc* Connection::vegas() {
-  return config_.kind == SenderKind::kVegas
+  return config_.kind == CcAlgorithm::kVegas
              ? static_cast<VegasCc*>(&sender_->cc())
              : nullptr;
 }
 
 BbrCc* Connection::bbr() {
-  return config_.kind == SenderKind::kBbr
+  return config_.kind == CcAlgorithm::kBbr
              ? static_cast<BbrCc*>(&sender_->cc())
              : nullptr;
 }
 
 FixedWindowCc* Connection::fixed() {
-  return config_.kind == SenderKind::kFixedWindow
+  return config_.kind == CcAlgorithm::kFixedWindow
              ? static_cast<FixedWindowCc*>(&sender_->cc())
              : nullptr;
 }

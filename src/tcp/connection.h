@@ -27,7 +27,7 @@ struct ConnectionConfig {
   net::ConnId id = 0;
   net::NodeId src_host = net::kInvalidNode;  // data source
   net::NodeId dst_host = net::kInvalidNode;  // data sink / ACK source
-  SenderKind kind = SenderKind::kTahoe;
+  CcAlgorithm kind = CcAlgorithm::kTahoe;
   std::uint32_t fixed_window = 10;           // only for kFixedWindow
   std::uint32_t data_bytes = 500;            // paper: 500-byte data packets
   std::uint32_t ack_bytes = 50;              // paper: 50-byte ACKs

@@ -6,7 +6,6 @@
 #pragma once
 
 #include "tcp/congestion_control.h"
-#include "tcp/sender.h"
 
 namespace tcpdyn::tcp {
 
@@ -42,19 +41,6 @@ class FixedWindowCc final : public CongestionControl {
 
  private:
   std::uint32_t window_;
-};
-
-// Convenience sender owning a FixedWindowCc (historic construction surface).
-class FixedWindowSender final : public WindowSender {
- public:
-  FixedWindowSender(sim::Simulator& sim, net::Host& host, SenderParams params,
-                    std::uint32_t fixed_window)
-      : WindowSender(sim, host, params,
-                     std::make_unique<FixedWindowCc>(fixed_window)) {}
-
-  FixedWindowCc& fixed_cc() { return static_cast<FixedWindowCc&>(cc()); }
-
-  void set_window(std::uint32_t w) { fixed_cc().set_window(w); }
 };
 
 }  // namespace tcpdyn::tcp

@@ -23,7 +23,6 @@
 #include <cmath>
 
 #include "tcp/congestion_control.h"
-#include "tcp/sender.h"
 
 namespace tcpdyn::tcp {
 
@@ -92,24 +91,6 @@ class TahoeCc : public CongestionControl {
   TahoeParams tahoe_;
   double cwnd_;
   std::uint32_t ssthresh_;
-};
-
-// Convenience sender owning a TahoeCc, preserving the historic construction
-// and accessor surface (tests and benches build these directly).
-class TahoeSender final : public WindowSender {
- public:
-  TahoeSender(sim::Simulator& sim, net::Host& host, SenderParams params,
-              TahoeParams tahoe = {})
-      : WindowSender(sim, host, params, std::make_unique<TahoeCc>(tahoe)) {}
-
-  TahoeCc& tahoe_cc() { return static_cast<TahoeCc&>(cc()); }
-  const TahoeCc& tahoe_cc() const {
-    return static_cast<const TahoeCc&>(cc());
-  }
-
-  double cwnd() const { return tahoe_cc().cwnd(); }
-  std::uint32_t ssthresh() const { return tahoe_cc().ssthresh(); }
-  bool in_slow_start() const { return tahoe_cc().in_slow_start(); }
 };
 
 }  // namespace tcpdyn::tcp

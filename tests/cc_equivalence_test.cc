@@ -36,7 +36,8 @@ std::uint64_t hash_double(std::uint64_t h, double d) {
   return fnv1a(h, bits);
 }
 
-std::string run_digest(Scenario sc, double warmup, double duration) {
+std::string run_digest(const TopoSpec& spec, double warmup, double duration) {
+  Scenario sc = make_topo_scenario(spec);
   sc.exp->set_audit_mode(AuditMode::kFull);
   ExperimentResult r =
       sc.exp->run(sim::Time::seconds(warmup), sim::Time::seconds(duration));

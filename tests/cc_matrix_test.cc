@@ -68,10 +68,10 @@ TEST(CcMatrix, LossBasedBeatsDelayBased) {
 }
 
 TEST(CcMixScenario, MixedFlowsShareOneBottleneck) {
-  Scenario sc = ccmix_twoway(
+  Scenario sc = make_topo_scenario(ccmix_twoway(
       {tcp::CcAlgorithm::kTahoe, tcp::CcAlgorithm::kNewReno,
        tcp::CcAlgorithm::kCubic, tcp::CcAlgorithm::kVegas},
-      /*conns=*/4);
+      /*conns=*/4));
   sc.warmup = sim::Time::seconds(5.0);
   sc.duration = sim::Time::seconds(30.0);
   sc.exp->set_audit_mode(AuditMode::kFull);

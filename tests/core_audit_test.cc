@@ -132,19 +132,19 @@ TEST(Audit, ParseMode) {
 
 // ---------------------------------------------------- Experiment plumbing
 
-tcp::ConnectionConfig forward_conn(const DumbbellHandles& h,
+tcp::ConnectionConfig forward_conn(const CompiledTopology& h,
                                    net::ConnId id = 0) {
   tcp::ConnectionConfig cfg;
   cfg.id = id;
-  cfg.src_host = h.host1;
-  cfg.dst_host = h.host2;
+  cfg.src_host = h.id("H1");
+  cfg.dst_host = h.id("H2");
   return cfg;
 }
 
 TEST(ExperimentAudit, FullLedgerFillsResultTotals) {
   Experiment exp;
   exp.set_audit_mode(AuditMode::kFull);
-  const DumbbellHandles h = build_dumbbell(exp, DumbbellParams{});
+  const CompiledTopology h = dumbbell_topology(DumbbellParams{}).compile(exp);
   exp.add_connection(forward_conn(h));
   // run() throws if the ledger does not close, so a normal return is itself
   // the conservation assertion; the totals land in the result.
@@ -159,7 +159,7 @@ TEST(ExperimentAudit, FullLedgerFillsResultTotals) {
 TEST(ExperimentAudit, CountersModeFillsResultTotals) {
   Experiment exp;
   exp.set_audit_mode(AuditMode::kCounters);
-  const DumbbellHandles h = build_dumbbell(exp, DumbbellParams{});
+  const CompiledTopology h = dumbbell_topology(DumbbellParams{}).compile(exp);
   exp.add_connection(forward_conn(h));
   const ExperimentResult r =
       exp.run(sim::Time::seconds(2.0), sim::Time::seconds(20.0));
@@ -171,7 +171,7 @@ TEST(ExperimentAudit, CountersModeFillsResultTotals) {
 TEST(ExperimentAudit, OffLeavesTotalsZero) {
   Experiment exp;
   exp.set_audit_mode(AuditMode::kOff);
-  const DumbbellHandles h = build_dumbbell(exp, DumbbellParams{});
+  const CompiledTopology h = dumbbell_topology(DumbbellParams{}).compile(exp);
   exp.add_connection(forward_conn(h));
   const ExperimentResult r =
       exp.run(sim::Time::seconds(1.0), sim::Time::seconds(5.0));
@@ -186,7 +186,7 @@ TEST(ExperimentAudit, TraceEmitsJsonlAndLedgerCloses) {
   DumbbellParams p;
   p.buffer_fwd = net::QueueLimit::of(3);  // force drop events into the trace
   p.buffer_rev = net::QueueLimit::of(3);
-  const DumbbellHandles h = build_dumbbell(exp, p);
+  const CompiledTopology h = dumbbell_topology(p).compile(exp);
   exp.add_connection(forward_conn(h));
   const ExperimentResult r =
       exp.run(sim::Time::seconds(0.0), sim::Time::seconds(30.0));
@@ -221,7 +221,7 @@ TEST(ExperimentAudit, TraceEmitsJsonlAndLedgerCloses) {
 // Shortened Fig-2 / Fig-6 runs under the full ledger: the books must close
 // with zero unaccounted packets. (run() throws on any violation.)
 TEST(ScenarioAudit, Fig2LedgerCloses) {
-  Scenario sc = fig2_one_way();
+  Scenario sc = make_topo_scenario(fig2_one_way());
   sc.exp->set_audit_mode(AuditMode::kFull);
   const ExperimentResult r =
       sc.exp->run(sim::Time::seconds(10.0), sim::Time::seconds(60.0));
@@ -232,7 +232,7 @@ TEST(ScenarioAudit, Fig2LedgerCloses) {
 }
 
 TEST(ScenarioAudit, Fig6LedgerCloses) {
-  Scenario sc = fig6_twoway();
+  Scenario sc = make_topo_scenario(fig6_twoway());
   sc.exp->set_audit_mode(AuditMode::kFull);
   const ExperimentResult r =
       sc.exp->run(sim::Time::seconds(10.0), sim::Time::seconds(60.0));

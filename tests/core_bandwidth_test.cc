@@ -91,7 +91,7 @@ TEST(CwndGrowthExponent, TooFewSamples) {
 
 TEST(BandwidthAlternation, EndToEndTwoWay) {
   // The real Figs. 4-5 configuration shows the §4.3.1 bandwidth handoff.
-  Scenario sc = fig4_twoway(0.01, 20);
+  Scenario sc = make_topo_scenario(fig4_twoway(0.01, 20));
   sc.warmup = sim::Time::seconds(80.0);
   sc.duration = sim::Time::seconds(250.0);
   const ScenarioSummary s = run_scenario(sc);

@@ -39,7 +39,7 @@ TEST(EffectivePipe, OneWayMatchesPhysicalPipePlusQueue) {
   // + transmission; effective pipe = 12.5 pkt/s * RTT. With buffer 20 the
   // queue holds most of the window, so the effective pipe ~ 12.5 * RTT
   // must land between the physical pipe (12.5) and pipe + buffer (~33).
-  Scenario sc = fig2_one_way(1, 1.0, 20);
+  Scenario sc = make_topo_scenario(fig2_one_way(1, 1.0, 20));
   sc.warmup = sim::Time::seconds(30.0);
   sc.duration = sim::Time::seconds(120.0);
   const ScenarioSummary s = run_scenario(sc);
@@ -54,7 +54,7 @@ TEST(EffectivePipe, TwoWayGrowsWithBuffer) {
   // The §4.3.1 mechanism: the other connection's queued window inflates the
   // ACK path delay, so the effective pipe scales with the buffer.
   auto measure = [](std::size_t buffer) {
-    Scenario sc = fig4_twoway(0.01, buffer);
+    Scenario sc = make_topo_scenario(fig4_twoway(0.01, buffer));
     sc.warmup = sim::Time::seconds(80.0);
     sc.duration = sim::Time::seconds(200.0);
     const ScenarioSummary s = run_scenario(sc);
@@ -68,7 +68,7 @@ TEST(EffectivePipe, TwoWayGrowsWithBuffer) {
 }
 
 TEST(RttSamples, RecordedAndOrdered) {
-  Scenario sc = fig2_one_way(1, 0.01, 20);
+  Scenario sc = make_topo_scenario(fig2_one_way(1, 0.01, 20));
   sc.warmup = sim::Time::seconds(5.0);
   sc.duration = sim::Time::seconds(30.0);
   const ScenarioSummary s = run_scenario(sc);

@@ -1,44 +1,43 @@
 // Experiment orchestration: monitoring, result assembly, error conditions,
-// and the dumbbell/chain builders.
+// and the dumbbell/chain topologies.
 #include "core/experiment.h"
 
 #include <gtest/gtest.h>
 
-#include "core/chain.h"
-#include "core/dumbbell.h"
+#include "core/scenarios.h"
 
 namespace tcpdyn::core {
 namespace {
 
-tcp::ConnectionConfig forward_conn(const DumbbellHandles& h,
+tcp::ConnectionConfig forward_conn(const CompiledTopology& h,
                                    net::ConnId id = 0) {
   tcp::ConnectionConfig cfg;
   cfg.id = id;
-  cfg.src_host = h.host1;
-  cfg.dst_host = h.host2;
+  cfg.src_host = h.id("H1");
+  cfg.dst_host = h.id("H2");
   return cfg;
 }
 
 TEST(Experiment, MonitorUnknownLinkThrows) {
   Experiment exp;
-  const DumbbellHandles h = build_dumbbell(exp, DumbbellParams{});
-  EXPECT_THROW(exp.monitor(h.host1, h.host2), std::logic_error);
+  const CompiledTopology h = dumbbell_topology(DumbbellParams{}).compile(exp);
+  EXPECT_THROW(exp.monitor(h.id("H1"), h.id("H2")), std::logic_error);
 }
 
 TEST(Experiment, RunTwiceThrows) {
   Experiment exp;
-  const DumbbellHandles h = build_dumbbell(exp, DumbbellParams{});
+  const CompiledTopology h = dumbbell_topology(DumbbellParams{}).compile(exp);
   exp.add_connection(forward_conn(h));
   exp.run(sim::Time::seconds(1.0), sim::Time::seconds(1.0));
   EXPECT_THROW(exp.run(sim::Time::seconds(1.0), sim::Time::seconds(1.0)),
                std::logic_error);
   EXPECT_THROW(exp.add_connection(forward_conn(h, 1)), std::logic_error);
-  EXPECT_THROW(exp.monitor(h.switch1, h.switch2), std::logic_error);
+  EXPECT_THROW(exp.monitor(h.id("S1"), h.id("S2")), std::logic_error);
 }
 
 TEST(Experiment, ResultPortsInMonitorOrder) {
   Experiment exp;
-  const DumbbellHandles h = build_dumbbell(exp, DumbbellParams{});
+  const CompiledTopology h = dumbbell_topology(DumbbellParams{}).compile(exp);
   exp.add_connection(forward_conn(h));
   const ExperimentResult r =
       exp.run(sim::Time::seconds(1.0), sim::Time::seconds(5.0));
@@ -54,7 +53,7 @@ TEST(Experiment, DeliveredCountsMeasurementWindowOnly) {
   // A one-way connection at ~12.5 pkt/s: delivered in a 10 s window must be
   // ~125, not the total since t=0.
   Experiment exp;
-  const DumbbellHandles h = build_dumbbell(exp, DumbbellParams{});
+  const CompiledTopology h = dumbbell_topology(DumbbellParams{}).compile(exp);
   exp.add_connection(forward_conn(h));
   const ExperimentResult r =
       exp.run(sim::Time::seconds(20.0), sim::Time::seconds(10.0));
@@ -64,7 +63,7 @@ TEST(Experiment, DeliveredCountsMeasurementWindowOnly) {
 
 TEST(Experiment, CwndTraceRecordedForTahoe) {
   Experiment exp;
-  const DumbbellHandles h = build_dumbbell(exp, DumbbellParams{});
+  const CompiledTopology h = dumbbell_topology(DumbbellParams{}).compile(exp);
   exp.add_connection(forward_conn(h));
   const ExperimentResult r =
       exp.run(sim::Time::seconds(0.0), sim::Time::seconds(10.0));
@@ -77,9 +76,9 @@ TEST(Experiment, CwndTraceRecordedForTahoe) {
 
 TEST(Experiment, NoCwndTraceForFixedWindow) {
   Experiment exp;
-  const DumbbellHandles h = build_dumbbell(exp, DumbbellParams{});
+  const CompiledTopology h = dumbbell_topology(DumbbellParams{}).compile(exp);
   tcp::ConnectionConfig cfg = forward_conn(h);
-  cfg.kind = tcp::SenderKind::kFixedWindow;
+  cfg.kind = tcp::CcAlgorithm::kFixedWindow;
   cfg.fixed_window = 5;
   exp.add_connection(cfg);
   const ExperimentResult r =
@@ -89,7 +88,7 @@ TEST(Experiment, NoCwndTraceForFixedWindow) {
 
 TEST(Experiment, AckArrivalsRecordedAtSource) {
   Experiment exp;
-  const DumbbellHandles h = build_dumbbell(exp, DumbbellParams{});
+  const CompiledTopology h = dumbbell_topology(DumbbellParams{}).compile(exp);
   exp.add_connection(forward_conn(h));
   const ExperimentResult r =
       exp.run(sim::Time::seconds(0.0), sim::Time::seconds(10.0));
@@ -107,7 +106,7 @@ TEST(Experiment, DropEventsCarryMetadata) {
   DumbbellParams p;
   p.buffer_fwd = net::QueueLimit::of(3);  // tiny buffer forces drops
   p.buffer_rev = net::QueueLimit::of(3);
-  const DumbbellHandles h = build_dumbbell(exp, p);
+  const CompiledTopology h = dumbbell_topology(p).compile(exp);
   exp.add_connection(forward_conn(h));
   const ExperimentResult r =
       exp.run(sim::Time::seconds(0.0), sim::Time::seconds(30.0));
@@ -130,26 +129,22 @@ TEST(Dumbbell, PipeSizeMatchesPaper) {
 
 TEST(Dumbbell, ConnectionsPlacedByDirection) {
   Experiment exp;
-  const DumbbellHandles h = build_dumbbell(exp, DumbbellParams{});
-  std::vector<ConnSpec> specs(2);
-  specs[0].forward = true;
-  specs[1].forward = false;
-  add_dumbbell_connections(exp, h, specs);
+  const CompiledTopology h = dumbbell_topology(DumbbellParams{}).compile(exp);
+  TrafficMatrix traffic;
+  traffic.add(dumbbell_flow(/*forward=*/true));
+  traffic.add(dumbbell_flow(/*forward=*/false));
+  traffic.instantiate(exp, h);
   ASSERT_EQ(exp.connection_count(), 2u);
-  EXPECT_EQ(exp.connection(0).config().src_host, h.host1);
-  EXPECT_EQ(exp.connection(1).config().src_host, h.host2);
+  EXPECT_EQ(exp.connection(0).config().src_host, h.id("H1"));
+  EXPECT_EQ(exp.connection(1).config().src_host, h.id("H2"));
 }
 
 TEST(Chain, BuildsAndMonitorsAllTrunks) {
-  Experiment exp;
-  ChainParams p;
-  p.switches = 4;
-  const ChainHandles h = build_chain(exp, p);
-  EXPECT_EQ(h.hosts.size(), 4u);
-  EXPECT_EQ(h.switches.size(), 4u);
-  add_chain_connections(exp, h, 6, 1);
-  const ExperimentResult r =
-      exp.run(sim::Time::seconds(1.0), sim::Time::seconds(10.0));
+  const TopoSpec spec = four_switch_chain(6, 1);
+  EXPECT_EQ(spec.topo.host_count(), 4u);
+  EXPECT_EQ(spec.topo.node_count(), 8u);
+  const ExperimentResult r = make_topo_scenario(spec).exp->run(
+      sim::Time::seconds(1.0), sim::Time::seconds(10.0));
   EXPECT_EQ(r.ports.size(), 6u);  // 3 trunks x 2 directions
   // Every connection delivered something.
   for (const auto& [id, delivered] : r.delivered) {
@@ -158,18 +153,17 @@ TEST(Chain, BuildsAndMonitorsAllTrunks) {
 }
 
 TEST(Chain, PathLengthsCycle) {
-  Experiment exp;
-  ChainParams p;
-  const ChainHandles h = build_chain(exp, p);
-  add_chain_connections(exp, h, 9, 3);
+  const TopoSpec spec = four_switch_chain(9, 3);
+  Scenario sc = make_topo_scenario(spec);
   // Connection i has path length 1 + i % 3 (in inter-switch hops): check the
   // endpoints' host indices differ accordingly.
   for (std::size_t i = 0; i < 9; ++i) {
-    const auto& cfg = exp.connection(i).config();
+    const auto& cfg = sc.exp->connection(i).config();
     std::size_t src = 0, dst = 0;
-    for (std::size_t k = 0; k < h.hosts.size(); ++k) {
-      if (h.hosts[k] == cfg.src_host) src = k;
-      if (h.hosts[k] == cfg.dst_host) dst = k;
+    for (std::size_t k = 0; k < 4; ++k) {
+      const std::size_t host = spec.topo.index("H" + std::to_string(k + 1));
+      if (host == cfg.src_host) src = k;
+      if (host == cfg.dst_host) dst = k;
     }
     const std::size_t hops = src > dst ? src - dst : dst - src;
     EXPECT_EQ(hops, 1 + i % 3) << "conn " << i;

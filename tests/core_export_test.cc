@@ -22,7 +22,7 @@ std::size_t line_count(const std::string& path) {
 }
 
 TEST(CsvExport, WritesAllTraceKinds) {
-  Scenario sc = fig4_twoway(0.01, 20);
+  Scenario sc = make_topo_scenario(fig4_twoway(0.01, 20));
   sc.warmup = sim::Time::seconds(5.0);
   sc.duration = sim::Time::seconds(30.0);
   const ScenarioSummary s = run_scenario(sc);
@@ -44,7 +44,7 @@ TEST(CsvExport, WritesAllTraceKinds) {
 }
 
 TEST(CsvExport, SanitizesPortNames) {
-  Scenario sc = fig4_twoway(0.01, 20);
+  Scenario sc = make_topo_scenario(fig4_twoway(0.01, 20));
   sc.warmup = sim::Time::seconds(1.0);
   sc.duration = sim::Time::seconds(5.0);
   const ScenarioSummary s = run_scenario(sc);
@@ -64,14 +64,14 @@ TEST(MultiHostDumbbell, BuildsOneHostPairPerConnection) {
   const std::vector<sim::Time> delays{sim::Time::microseconds(100),
                                       sim::Time::milliseconds(10),
                                       sim::Time::milliseconds(40)};
-  const MultiHostHandles h = build_multihost_dumbbell(exp, p, delays);
-  ASSERT_EQ(h.sources.size(), 3u);
-  ASSERT_EQ(h.sinks.size(), 3u);
+  const CompiledTopology h =
+      multihost_dumbbell_topology(p, delays).compile(exp);
+  ASSERT_EQ(h.node_ids.size(), 8u);  // two switches + three host pairs
   for (std::size_t i = 0; i < 3; ++i) {
     tcp::ConnectionConfig cfg;
     cfg.id = static_cast<net::ConnId>(i);
-    cfg.src_host = h.sources[i];
-    cfg.dst_host = h.sinks[i];
+    cfg.src_host = h.id("A" + std::to_string(i + 1));
+    cfg.dst_host = h.id("B" + std::to_string(i + 1));
     exp.add_connection(cfg);
   }
   const ExperimentResult r =
@@ -93,12 +93,13 @@ TEST(MultiHostDumbbell, RttSpreadChangesRoundTripTimes) {
   DumbbellParams p;
   const std::vector<sim::Time> delays{sim::Time::microseconds(100),
                                       sim::Time::milliseconds(40)};
-  const MultiHostHandles h = build_multihost_dumbbell(exp, p, delays);
+  const CompiledTopology h =
+      multihost_dumbbell_topology(p, delays).compile(exp);
   for (std::size_t i = 0; i < 2; ++i) {
     tcp::ConnectionConfig cfg;
     cfg.id = static_cast<net::ConnId>(i);
-    cfg.src_host = h.sources[i];
-    cfg.dst_host = h.sinks[i];
+    cfg.src_host = h.id("A" + std::to_string(i + 1));
+    cfg.dst_host = h.id("B" + std::to_string(i + 1));
     exp.add_connection(cfg);
   }
   const ExperimentResult r =
@@ -112,10 +113,10 @@ TEST(MultiHostDumbbell, RttSpreadChangesRoundTripTimes) {
 }
 
 TEST(RttHeterogeneityScenario, ClusteringDegradesWithSpread) {
-  Scenario equal = rtt_heterogeneity(3, 0.0);
+  Scenario equal = make_topo_scenario(rtt_heterogeneity(3, 0.0));
   equal.warmup = sim::Time::seconds(50.0);
   equal.duration = sim::Time::seconds(150.0);
-  Scenario spread = rtt_heterogeneity(3, 0.32);
+  Scenario spread = make_topo_scenario(rtt_heterogeneity(3, 0.32));
   spread.warmup = sim::Time::seconds(50.0);
   spread.duration = sim::Time::seconds(150.0);
   const ScenarioSummary a = run_scenario(equal);

@@ -245,9 +245,8 @@ TEST(SweepScenarioTest, RealGridIsDeterministicAcrossJobs) {
     const SweepGrid grid({{"tau", {0.005, 0.01}}, {"buffer", {10, 15}}});
     return SweepRunner(grid, {.jobs = jobs, .seed = 1})
         .run([](const SweepPoint& pt) {
-          Scenario sc = fig4_twoway(pt.value("tau"),
-                                    static_cast<std::size_t>(
-                                        pt.value("buffer")));
+          Scenario sc = make_topo_scenario(fig4_twoway(
+              pt.value("tau"), static_cast<std::size_t>(pt.value("buffer"))));
           // Short run: this test is about engine determinism, not fidelity.
           sc.warmup = sim::Time::seconds(10.0);
           sc.duration = sim::Time::seconds(30.0);

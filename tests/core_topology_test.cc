@@ -97,7 +97,7 @@ TEST(Topology, DijkstraBreaksTiesBySmallestNodeId) {
 }
 
 // Triangle where the direct link is slow: the delay metric must route around
-// it, where hop-count routing would go direct.
+// it, where a hop-count metric would go direct.
 TEST(Topology, DelayMetricAvoidsSlowDirectLink) {
   Topology t;
   const std::size_t a = t.add_switch("A");
@@ -128,24 +128,21 @@ TEST(Topology, DelayMetricAvoidsSlowDirectLink) {
 
 TEST(TrafficMatrix, ExpandsCountsWithPerSpecStreams) {
   ConnSpec spec;
-  spec.src_id = 0;  // H1 (ids follow the helper network built below)
-  spec.dst_id = 2;  // H2
+  spec.src = "H1";
+  spec.dst = "H2";
   spec.count = 3;
   spec.start_spread = sim::Time::seconds(4.0);
   spec.seed = 99;
 
   const auto starts_of = [&](const TrafficMatrix& m) {
+    Topology t;
+    const std::size_t h1 = t.add_host("H1");
+    const std::size_t s1 = t.add_switch("S1");
+    const std::size_t h2 = t.add_host("H2");
+    t.add_link(h1, s1, 1'000'000, sim::Time::microseconds(100));
+    t.add_link(s1, h2, 1'000'000, sim::Time::microseconds(100));
     Experiment exp;
-    auto& net = exp.network();
-    const auto h1 = net.add_host("H1");
-    const auto s1 = net.add_switch("S1");
-    const auto h2 = net.add_host("H2");
-    net.connect(h1, s1, 1'000'000, sim::Time::microseconds(100),
-                net::QueueLimit::infinite(), net::QueueLimit::infinite());
-    net.connect(s1, h2, 1'000'000, sim::Time::microseconds(100),
-                net::QueueLimit::infinite(), net::QueueLimit::infinite());
-    net.compute_routes();
-    m.instantiate(exp);
+    m.instantiate(exp, t.compile(exp));
     std::vector<sim::Time> starts;
     for (std::size_t i = 0; i < exp.connection_count(); ++i) {
       starts.push_back(exp.connection(i).config().start_time);
@@ -164,8 +161,8 @@ TEST(TrafficMatrix, ExpandsCountsWithPerSpecStreams) {
   // A preceding spec must not perturb this spec's start times.
   TrafficMatrix crowded;
   ConnSpec other;
-  other.src_id = 2;
-  other.dst_id = 0;
+  other.src = "H2";
+  other.dst = "H1";
   other.count = 2;
   other.start_spread = sim::Time::seconds(4.0);
   other.seed = 7;
@@ -185,7 +182,6 @@ TEST(TrafficMatrix, RejectsUnresolvableEndpoints) {
   c.dst = "nobody";
   m.add(c);
   Experiment exp;
-  EXPECT_THROW(m.instantiate(exp), std::invalid_argument);  // id-only variant
   CompiledTopology topo;
   EXPECT_THROW(m.instantiate(exp, topo), std::out_of_range);
   ConnSpec bad;
@@ -230,7 +226,7 @@ epoch_gap 3
 
   // And it runs end to end.
   Scenario sc = make_topo_scenario(spec);
-  EXPECT_EQ(sc.tahoe_connections, 3u);
+  EXPECT_EQ(spec.traffic.adaptive_flow_count(), 3u);
   const ScenarioSummary s = run_scenario(sc);
   EXPECT_GT(s.util_fwd, 0.0);
   EXPECT_EQ(s.flows.flows, 3u);
@@ -258,11 +254,10 @@ TEST(TopologyFile, ErrorsNameTheLine) {
 
 // ------------------------------------------------------------ equivalence
 //
-// The dumbbell and chain builders became adapters over Topology; the
-// networks they compile must match the historic direct net::Network
-// construction bit for bit. These tests rebuild the legacy networks by hand
-// (same node, link, and monitor order; BFS hop-count routes) and compare
-// whole runs.
+// The dumbbell and chain scenarios are Topology specs; the networks they
+// compile must match the historic direct net::Network construction bit for
+// bit. These tests rebuild the legacy networks by hand (same node, link, and
+// monitor order) and compare whole runs.
 
 void expect_same_run(const ExperimentResult& a, const ExperimentResult& b) {
   EXPECT_EQ(a.delivered, b.delivered);
@@ -285,10 +280,9 @@ void expect_same_run(const ExperimentResult& a, const ExperimentResult& b) {
 }
 
 std::vector<ConnSpec> twoway_conns() {
-  std::vector<ConnSpec> conns(2);
-  conns[0].forward = true;
+  std::vector<ConnSpec> conns = {dumbbell_flow(/*forward=*/true),
+                                 dumbbell_flow(/*forward=*/false)};
   conns[0].start_time = sim::Time::seconds(0.7);
-  conns[1].forward = false;
   conns[1].start_time = sim::Time::seconds(1.3);
   return conns;
 }
@@ -296,7 +290,7 @@ std::vector<ConnSpec> twoway_conns() {
 TEST(TopologyEquivalence, DumbbellMatchesLegacyConstruction) {
   const DumbbellParams p;  // paper defaults
 
-  // Legacy: direct net::Network calls, BFS hop-count routing.
+  // Legacy: direct net::Network calls.
   Experiment legacy;
   {
     auto& net = legacy.network();
@@ -306,8 +300,7 @@ TEST(TopologyEquivalence, DumbbellMatchesLegacyConstruction) {
     const auto s2 = net.add_switch("S2");
     net.connect(h1, s1, p.access_bps, p.access_delay, p.access_buffer,
                 p.access_buffer);
-    net.connect(s1, s2, p.bottleneck_bps, p.tau, p.buffer_fwd, p.buffer_rev,
-                p.bottleneck_policy);
+    net.connect(s1, s2, p.bottleneck_bps, p.tau, p.buffer_fwd, p.buffer_rev);
     net.connect(s2, h2, p.access_bps, p.access_delay, p.access_buffer,
                 p.access_buffer);
     net.compute_routes();
@@ -317,19 +310,20 @@ TEST(TopologyEquivalence, DumbbellMatchesLegacyConstruction) {
     for (const ConnSpec& c : twoway_conns()) {
       tcp::ConnectionConfig cfg = c.to_config();
       cfg.id = static_cast<net::ConnId>(i++);
-      cfg.src_host = c.forward ? h1 : h2;
-      cfg.dst_host = c.forward ? h2 : h1;
+      cfg.src_host = c.src == "H1" ? h1 : h2;
+      cfg.dst_host = c.dst == "H1" ? h1 : h2;
       legacy.add_connection(cfg);
     }
   }
 
-  Experiment adapter;
-  const DumbbellHandles h = build_dumbbell(adapter, p);
-  add_dumbbell_connections(adapter, h, twoway_conns());
+  TopoSpec spec;
+  spec.topo = dumbbell_topology(p);
+  for (const ConnSpec& c : twoway_conns()) spec.traffic.add(c);
+  Scenario adapter = make_topo_scenario(spec);
 
   const auto window = sim::Time::seconds(50.0);
   const auto dur = sim::Time::seconds(120.0);
-  expect_same_run(legacy.run(window, dur), adapter.run(window, dur));
+  expect_same_run(legacy.run(window, dur), adapter.exp->run(window, dur));
 }
 
 TEST(TopologyEquivalence, MultihostDumbbellMatchesLegacyConstruction) {
@@ -344,8 +338,7 @@ TEST(TopologyEquivalence, MultihostDumbbellMatchesLegacyConstruction) {
     auto& net = legacy.network();
     const auto s1 = net.add_switch("S1");
     const auto s2 = net.add_switch("S2");
-    net.connect(s1, s2, p.bottleneck_bps, p.tau, p.buffer_fwd, p.buffer_rev,
-                p.bottleneck_policy);
+    net.connect(s1, s2, p.bottleneck_bps, p.tau, p.buffer_fwd, p.buffer_rev);
     std::vector<net::NodeId> sources, sinks;
     for (std::size_t i = 0; i < delays.size(); ++i) {
       const std::string n = std::to_string(i + 1);
@@ -372,12 +365,13 @@ TEST(TopologyEquivalence, MultihostDumbbellMatchesLegacyConstruction) {
   }
 
   Experiment adapter;
-  const MultiHostHandles h = build_multihost_dumbbell(adapter, p, delays);
+  const CompiledTopology h =
+      multihost_dumbbell_topology(p, delays).compile(adapter);
   for (std::size_t i = 0; i < delays.size(); ++i) {
     tcp::ConnectionConfig cfg;
     cfg.id = static_cast<net::ConnId>(i);
-    cfg.src_host = h.sources[i];
-    cfg.dst_host = h.sinks[i];
+    cfg.src_host = h.id("A" + std::to_string(i + 1));
+    cfg.dst_host = h.id("B" + std::to_string(i + 1));
     cfg.start_time = sim::Time::seconds(0.5 * static_cast<double>(i));
     adapter.add_connection(cfg);
   }
@@ -388,7 +382,7 @@ TEST(TopologyEquivalence, MultihostDumbbellMatchesLegacyConstruction) {
 }
 
 TEST(TopologyEquivalence, ChainMatchesLegacyConstruction) {
-  const ChainParams p;  // 4 switches
+  const ChainParams p;  // four_switch_chain runs on the defaults
   const std::size_t conns = 20;
   const std::uint64_t seed = 7;
 
@@ -430,13 +424,11 @@ TEST(TopologyEquivalence, ChainMatchesLegacyConstruction) {
     }
   }
 
-  Experiment adapter;
-  const ChainHandles h = build_chain(adapter, p);
-  add_chain_connections(adapter, h, conns, seed);
+  Scenario adapter = make_topo_scenario(four_switch_chain(conns, seed));
 
   const auto window = sim::Time::seconds(40.0);
   const auto dur = sim::Time::seconds(80.0);
-  expect_same_run(legacy.run(window, dur), adapter.run(window, dur));
+  expect_same_run(legacy.run(window, dur), adapter.exp->run(window, dur));
 }
 
 }  // namespace

@@ -36,8 +36,9 @@ TEST(Incast, ClosedPopulationClosesFullLedger) {
   p.start_spread_sec = 2.0;
   p.warmup_sec = 2.0;
   p.duration_sec = 10.0;
-  Scenario sc = incast_scenario(p);
-  ASSERT_EQ(sc.tahoe_connections, 32u);
+  const TopoSpec spec = incast_spec(p);
+  ASSERT_EQ(spec.traffic.adaptive_flow_count(), 32u);
+  Scenario sc = make_topo_scenario(spec);
   sc.exp->set_audit_mode(AuditMode::kFull);
   const ScenarioSummary s = run_scenario(sc);
   EXPECT_EQ(s.flows.flows, 32u);
@@ -73,8 +74,8 @@ TEST(IncastChurn, PoissonArrivalsAreOrderedAndSessionsBounded) {
 
 TEST(IncastChurn, DoubleRunIsIdenticalAndSeedMatters) {
   const IncastParams p = small_churn_params();
-  Scenario a = incast_scenario(p);
-  Scenario b = incast_scenario(p);
+  Scenario a = make_topo_scenario(incast_spec(p));
+  Scenario b = make_topo_scenario(incast_spec(p));
   const ScenarioSummary ra = run_scenario(a);
   const ScenarioSummary rb = run_scenario(b);
   EXPECT_EQ(ra.result.delivered, rb.result.delivered);
@@ -83,7 +84,7 @@ TEST(IncastChurn, DoubleRunIsIdenticalAndSeedMatters) {
 
   IncastParams q = small_churn_params();
   q.seed = p.seed + 1;
-  Scenario c = incast_scenario(q);
+  Scenario c = make_topo_scenario(incast_spec(q));
   EXPECT_NE(ra.result.delivered, run_scenario(c).result.delivered);
 }
 
@@ -92,7 +93,7 @@ TEST(IncastChurn, WheelBackendMatchesSlab) {
   const auto run_with = [&](sim::TimerBackend backend) {
     const sim::TimerBackend saved = sim::default_timer_backend();
     sim::set_default_timer_backend(backend);
-    Scenario sc = incast_scenario(p);
+    Scenario sc = make_topo_scenario(incast_spec(p));
     sim::set_default_timer_backend(saved);
     return run_scenario(sc);
   };
@@ -112,7 +113,7 @@ TEST(IncastChurn, SweepOverSeedsIsDeterministicAcrossJobs) {
           IncastParams p = small_churn_params();
           p.duration_sec = 4.0;
           p.seed = static_cast<std::uint64_t>(pt.value("seed"));
-          Scenario sc = incast_scenario(p);
+          Scenario sc = make_topo_scenario(incast_spec(p));
           return summary_row(pt, run_scenario(sc));
         });
   };
@@ -126,9 +127,9 @@ TEST(IncastChurn, SweepOverSeedsIsDeterministicAcrossJobs) {
 
 TEST(IncastScale, StreamingMonitorsKeepCountersAndDropTraces) {
   IncastParams p = small_churn_params();
-  Scenario full = incast_scenario(p);
+  Scenario full = make_topo_scenario(incast_spec(p));
   p.streaming = true;
-  Scenario streaming = incast_scenario(p);
+  Scenario streaming = make_topo_scenario(incast_spec(p));
   const ScenarioSummary rf = run_scenario(full);
   const ScenarioSummary rs = run_scenario(streaming);
 
@@ -160,9 +161,9 @@ TEST(IncastScale, StreamingMonitorsKeepCountersAndDropTraces) {
 
 TEST(IncastScale, FlowInstrumentationOffDropsTracesOnly) {
   IncastParams p = small_churn_params();
-  Scenario on = incast_scenario(p);
+  Scenario on = make_topo_scenario(incast_spec(p));
   p.per_flow_traces = false;
-  Scenario off = incast_scenario(p);
+  Scenario off = make_topo_scenario(incast_spec(p));
   const ScenarioSummary ron = run_scenario(on);
   const ScenarioSummary roff = run_scenario(off);
 

@@ -10,7 +10,7 @@ namespace tcpdyn::core {
 namespace {
 
 TEST(Integration, OneWaySingleConnSaturatesBottleneck) {
-  Scenario sc = fig2_one_way(1, 0.01, 20);
+  Scenario sc = make_topo_scenario(fig2_one_way(1, 0.01, 20));
   sc.warmup = sim::Time::seconds(10.0);
   sc.duration = sim::Time::seconds(60.0);
   const ScenarioSummary s = run_scenario(sc);
@@ -27,7 +27,7 @@ TEST(Integration, AcksNeverDroppedOnDumbbell) {
   // never dropped in the two-switch configuration — even under heavy
   // two-way congestion.
   for (double tau : {0.01, 1.0}) {
-    Scenario sc = fig4_twoway(tau, 20);
+    Scenario sc = make_topo_scenario(fig4_twoway(tau, 20));
     sc.warmup = sim::Time::seconds(0.0);
     sc.duration = sim::Time::seconds(200.0);
     const ScenarioSummary s = run_scenario(sc);
@@ -39,7 +39,7 @@ TEST(Integration, AcksNeverDroppedOnDumbbell) {
 }
 
 TEST(Integration, FixedWindowInfiniteBuffersLossFree) {
-  Scenario sc = fig8_fixed_window(0.01, 30, 25);
+  Scenario sc = make_topo_scenario(fig8_fixed_window(0.01, 30, 25));
   sc.warmup = sim::Time::seconds(0.0);
   sc.duration = sim::Time::seconds(60.0);
   const ScenarioSummary s = run_scenario(sc);
@@ -55,7 +55,7 @@ TEST(Integration, SequenceDeliveryConservation) {
   // delivered (in-order at receiver) can never exceed distinct data sent,
   // and with retransmission every loss is eventually recovered: over a long
   // run delivered ~ sent - retransmits - in-flight.
-  Scenario sc = fig4_twoway(0.01, 20);
+  Scenario sc = make_topo_scenario(fig4_twoway(0.01, 20));
   sc.warmup = sim::Time::seconds(0.0);
   sc.duration = sim::Time::seconds(300.0);
   const ScenarioSummary s = run_scenario(sc);
@@ -72,11 +72,11 @@ TEST(Integration, SequenceDeliveryConservation) {
 TEST(Integration, WindowNeverExceedsLimit) {
   // Outstanding data <= window at every send (checked via a hook).
   Experiment exp;
-  const DumbbellHandles h = build_dumbbell(exp, DumbbellParams{});
+  const CompiledTopology h = dumbbell_topology(DumbbellParams{}).compile(exp);
   tcp::ConnectionConfig cfg;
   cfg.id = 0;
-  cfg.src_host = h.host1;
-  cfg.dst_host = h.host2;
+  cfg.src_host = h.id("H1");
+  cfg.dst_host = h.id("H2");
   auto& conn = exp.add_connection(cfg);
   bool violated = false;
   conn.sender().hooks().on_send = [&](sim::Time, const net::Packet& p) {
@@ -93,7 +93,7 @@ TEST(Integration, WindowNeverExceedsLimit) {
 }
 
 TEST(Integration, UtilizationNeverExceedsOne) {
-  Scenario sc = fig3_ten_connections(30);
+  Scenario sc = make_topo_scenario(fig3_ten_connections(30));
   sc.warmup = sim::Time::seconds(10.0);
   sc.duration = sim::Time::seconds(60.0);
   const ScenarioSummary s = run_scenario(sc);
@@ -104,7 +104,7 @@ TEST(Integration, UtilizationNeverExceedsOne) {
 }
 
 TEST(Integration, QueueNeverExceedsBuffer) {
-  Scenario sc = fig4_twoway(0.01, 20);
+  Scenario sc = make_topo_scenario(fig4_twoway(0.01, 20));
   sc.warmup = sim::Time::seconds(0.0);
   sc.duration = sim::Time::seconds(120.0);
   const ScenarioSummary s = run_scenario(sc);
@@ -116,7 +116,7 @@ TEST(Integration, QueueNeverExceedsBuffer) {
 
 TEST(Integration, DeterministicAcrossRuns) {
   auto run_once = [] {
-    Scenario sc = fig4_twoway(0.01, 20);
+    Scenario sc = make_topo_scenario(fig4_twoway(0.01, 20));
     sc.warmup = sim::Time::seconds(10.0);
     sc.duration = sim::Time::seconds(100.0);
     return run_scenario(sc);
@@ -132,7 +132,7 @@ TEST(Integration, DeterministicAcrossRuns) {
 }
 
 TEST(Integration, TwoWayDeliversBothDirections) {
-  Scenario sc = fig6_twoway(1.0, 20);
+  Scenario sc = make_topo_scenario(fig6_twoway(1.0, 20));
   sc.warmup = sim::Time::seconds(50.0);
   sc.duration = sim::Time::seconds(200.0);
   const ScenarioSummary s = run_scenario(sc);
@@ -142,15 +142,15 @@ TEST(Integration, TwoWayDeliversBothDirections) {
 
 TEST(Integration, ReceiverNextExpectedMonotone) {
   Experiment exp;
-  const DumbbellHandles h = build_dumbbell(exp, DumbbellParams{});
+  const CompiledTopology h = dumbbell_topology(DumbbellParams{}).compile(exp);
   tcp::ConnectionConfig cfg;
   cfg.id = 0;
-  cfg.src_host = h.host1;
-  cfg.dst_host = h.host2;
+  cfg.src_host = h.id("H1");
+  cfg.dst_host = h.id("H2");
   auto& conn = exp.add_connection(cfg);
   std::uint32_t last = 0;
   bool monotone = true;
-  exp.network().host(h.host2).on_deliver = [&](sim::Time,
+  exp.network().host(h.id("H2")).on_deliver = [&](sim::Time,
                                                const net::Packet& p) {
     if (net::is_data(p)) {
       const std::uint32_t ne = conn.receiver().next_expected();

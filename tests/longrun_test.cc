@@ -10,7 +10,7 @@ namespace tcpdyn::core {
 namespace {
 
 TEST(LongRun, TwoWaySmallPipeOneHour) {
-  Scenario sc = fig4_twoway(0.01, 20);
+  Scenario sc = make_topo_scenario(fig4_twoway(0.01, 20));
   sc.warmup = sim::Time::seconds(600.0);
   sc.duration = sim::Time::seconds(3000.0);
   const ScenarioSummary s = run_scenario(sc);
@@ -30,7 +30,7 @@ TEST(LongRun, TwoWaySmallPipeOneHour) {
 }
 
 TEST(LongRun, OneWayOneHourStaysClocked) {
-  Scenario sc = fig2_one_way(3, 1.0, 20);
+  Scenario sc = make_topo_scenario(fig2_one_way(3, 1.0, 20));
   sc.warmup = sim::Time::seconds(600.0);
   sc.duration = sim::Time::seconds(3000.0);
   const ScenarioSummary s = run_scenario(sc);
@@ -46,7 +46,7 @@ TEST(LongRun, OneWayOneHourStaysClocked) {
 }
 
 TEST(LongRun, FixedWindowSquareWavesForever) {
-  Scenario sc = fig8_fixed_window(0.01, 30, 25);
+  Scenario sc = make_topo_scenario(fig8_fixed_window(0.01, 30, 25));
   sc.warmup = sim::Time::seconds(600.0);
   sc.duration = sim::Time::seconds(3000.0);
   const ScenarioSummary s = run_scenario(sc);

@@ -32,7 +32,8 @@ class PortTest : public ::testing::Test {
  protected:
   PortTest()
       : sink(sim),
-        port(sim, "p", 50'000, sim::Time::seconds(0.01), QueueLimit::of(20)) {
+        port(sim, "p", 50'000, sim::Time::seconds(0.01),
+             QdiscConfig::drop_tail(QueueLimit::of(20))) {
     port.set_peer(&sink);
     // Busy-interval recording is opt-in (monitored ports only); these tests
     // assert exact utilization accounting, so turn it on.
@@ -107,7 +108,8 @@ TEST_F(PortTest, QueueChangeAndDepartHooks) {
 }
 
 TEST_F(PortTest, DropHookFiresForOverflow) {
-  OutputPort tiny(sim, "tiny", 50'000, sim::Time::zero(), QueueLimit::of(1));
+  OutputPort tiny(sim, "tiny", 50'000, sim::Time::zero(),
+                  QdiscConfig::drop_tail(QueueLimit::of(1)));
   tiny.set_peer(&sink);
   std::vector<std::uint32_t> dropped;
   tiny.on_drop = [&](sim::Time, const Packet& p) { dropped.push_back(p.seq); };
@@ -150,7 +152,7 @@ TEST_F(PortTest, IdleGapSplitsBusyIntervals) {
 
 TEST_F(PortTest, NoPeerDiscardsAfterTransmission) {
   OutputPort orphan(sim, "orphan", 50'000, sim::Time::zero(),
-                    QueueLimit::of(5));
+                    QdiscConfig::drop_tail(QueueLimit::of(5)));
   orphan.enqueue(data_pkt());
   sim.run_until(sim::Time::seconds(1.0));  // must not crash
   EXPECT_EQ(orphan.queue_length(), 0u);

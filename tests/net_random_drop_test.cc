@@ -128,8 +128,8 @@ class RecordingObserver : public PacketObserver {
 
 TEST(RandomDropPort, VictimDropsReachHookAndObserver) {
   sim::Simulator sim;
-  OutputPort port(sim, "p", 50'000, sim::Time::zero(), QueueLimit::of(3),
-                  DropPolicy::kRandomDrop, 7);
+  OutputPort port(sim, "p", 50'000, sim::Time::zero(),
+                  QdiscConfig::random_drop(QueueLimit::of(3)), 7);
   RecordingObserver obs;
   port.set_observer(&obs);
   int hook_drops = 0;
@@ -155,8 +155,8 @@ TEST(RandomDropPort, VictimDropsReachHookAndObserver) {
 
 TEST(RandomDropPort, DropHookSeesVictim) {
   sim::Simulator sim;
-  OutputPort port(sim, "p", 50'000, sim::Time::zero(), QueueLimit::of(3),
-                  DropPolicy::kRandomDrop, 11);
+  OutputPort port(sim, "p", 50'000, sim::Time::zero(),
+                  QdiscConfig::random_drop(QueueLimit::of(3)), 11);
   int drops = 0;
   port.on_drop = [&](sim::Time, const Packet&) { ++drops; };
   int changes = 0;

@@ -1,5 +1,5 @@
-// Routing over a topology with a cycle: BFS shortest-path with deterministic
-// tie-breaking, exercised on a four-switch ring.
+// Routing over a topology with a cycle: Dijkstra shortest-path with
+// deterministic tie-breaking, exercised on a four-switch ring.
 #include <gtest/gtest.h>
 
 #include "net/network.h"

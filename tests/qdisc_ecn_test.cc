@@ -153,7 +153,7 @@ TransportRun run_transport(bool ecn_qdisc, bool ecn_conn) {
   cfg.id = 0;
   cfg.src_host = a;
   cfg.dst_host = b;
-  cfg.kind = tcp::SenderKind::kTahoe;
+  cfg.kind = tcp::CcAlgorithm::kTahoe;
   cfg.ecn = ecn_conn;
   exp.add_connection(cfg);
 
@@ -239,9 +239,9 @@ std::string run_chain_digest(const net::QdiscConfig& qdisc) {
   exp.set_audit_mode(AuditMode::kFull);
 
   // Mixed controllers, two-way traffic, ECT where the conn supports it.
-  const tcp::SenderKind kinds[] = {tcp::SenderKind::kNewReno,
-                                   tcp::SenderKind::kCubic,
-                                   tcp::SenderKind::kBbr};
+  const tcp::CcAlgorithm kinds[] = {tcp::CcAlgorithm::kNewReno,
+                                   tcp::CcAlgorithm::kCubic,
+                                   tcp::CcAlgorithm::kBbr};
   const net::NodeId srcs[] = {a, b, c};
   const net::NodeId dsts[] = {b, a, b};
   for (net::ConnId i = 0; i < 3; ++i) {

@@ -10,7 +10,7 @@ namespace tcpdyn::core {
 namespace {
 
 TEST(Fig2, OneWayInPhaseAndClocked) {
-  Scenario sc = fig2_one_way(3, 1.0, 20);
+  Scenario sc = make_topo_scenario(fig2_one_way(3, 1.0, 20));
   sc.warmup = sim::Time::seconds(100.0);
   sc.duration = sim::Time::seconds(300.0);
   const ScenarioSummary s = run_scenario(sc);
@@ -26,7 +26,7 @@ TEST(Fig2, OneWayInPhaseAndClocked) {
 }
 
 TEST(Fig3, TenConnectionsFluctuateOutOfPhase) {
-  Scenario sc = fig3_ten_connections(30);
+  Scenario sc = make_topo_scenario(fig3_ten_connections(30));
   sc.warmup = sim::Time::seconds(60.0);
   sc.duration = sim::Time::seconds(200.0);
   const ScenarioSummary s = run_scenario(sc);
@@ -37,7 +37,7 @@ TEST(Fig3, TenConnectionsFluctuateOutOfPhase) {
 }
 
 TEST(Fig4, TwoWaySmallPipeOutOfPhaseAlternation) {
-  Scenario sc = fig4_twoway(0.01, 20);
+  Scenario sc = make_topo_scenario(fig4_twoway(0.01, 20));
   sc.warmup = sim::Time::seconds(80.0);
   sc.duration = sim::Time::seconds(250.0);
   const ScenarioSummary s = run_scenario(sc);
@@ -49,7 +49,7 @@ TEST(Fig4, TwoWaySmallPipeOutOfPhaseAlternation) {
 }
 
 TEST(Fig6, TwoWayLargePipeInPhase) {
-  Scenario sc = fig6_twoway(1.0, 20);
+  Scenario sc = make_topo_scenario(fig6_twoway(1.0, 20));
   sc.warmup = sim::Time::seconds(100.0);
   sc.duration = sim::Time::seconds(400.0);
   const ScenarioSummary s = run_scenario(sc);
@@ -60,7 +60,7 @@ TEST(Fig6, TwoWayLargePipeInPhase) {
 }
 
 TEST(Fig8, FixedWindowMaximaAndIdle) {
-  Scenario sc = fig8_fixed_window(0.01, 30, 25);
+  Scenario sc = make_topo_scenario(fig8_fixed_window(0.01, 30, 25));
   const ScenarioSummary s = run_scenario(sc);
   const double q1 = s.result.ports[0].queue.max_in(s.result.t_start,
                                                    s.result.t_end);
@@ -73,7 +73,7 @@ TEST(Fig8, FixedWindowMaximaAndIdle) {
 }
 
 TEST(Fig9, FixedWindowEqualMaxima) {
-  Scenario sc = fig8_fixed_window(1.0, 30, 25);
+  Scenario sc = make_topo_scenario(fig8_fixed_window(1.0, 30, 25));
   const ScenarioSummary s = run_scenario(sc);
   const double q1 = s.result.ports[0].queue.max_in(s.result.t_start,
                                                    s.result.t_end);
@@ -85,10 +85,10 @@ TEST(Fig9, FixedWindowEqualMaxima) {
 }
 
 TEST(Pacing, RemovesCompression) {
-  Scenario nonpaced = fig4_twoway(0.01, 20);
+  Scenario nonpaced = make_topo_scenario(fig4_twoway(0.01, 20));
   nonpaced.warmup = sim::Time::seconds(50.0);
   nonpaced.duration = sim::Time::seconds(150.0);
-  Scenario paced = paced_twoway(0.01, 20);
+  Scenario paced = make_topo_scenario(paced_twoway(0.01, 20));
   paced.warmup = sim::Time::seconds(50.0);
   paced.duration = sim::Time::seconds(150.0);
   const ScenarioSummary a = run_scenario(nonpaced);
@@ -98,7 +98,7 @@ TEST(Pacing, RemovesCompression) {
 }
 
 TEST(Report, SummaryAndChartRender) {
-  Scenario sc = fig4_twoway(0.01, 20);
+  Scenario sc = make_topo_scenario(fig4_twoway(0.01, 20));
   sc.warmup = sim::Time::seconds(10.0);
   sc.duration = sim::Time::seconds(40.0);
   const ScenarioSummary s = run_scenario(sc);
@@ -124,8 +124,8 @@ TEST(Scenarios, NamesAndMetadata) {
   EXPECT_EQ(fig6_twoway().name, "fig6-7-twoway-large-pipe");
   EXPECT_EQ(fig8_fixed_window(0.01).name, "fig8-fixed-window");
   EXPECT_EQ(fig8_fixed_window(1.0).name, "fig9-fixed-window");
-  EXPECT_EQ(fig2_one_way().tahoe_connections, 3u);
-  EXPECT_EQ(fig8_fixed_window().tahoe_connections, 0u);
+  EXPECT_EQ(fig2_one_way().traffic.adaptive_flow_count(), 3u);
+  EXPECT_EQ(fig8_fixed_window().traffic.adaptive_flow_count(), 0u);
 }
 
 }  // namespace

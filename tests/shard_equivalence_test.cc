@@ -8,7 +8,8 @@
 // and the digest diverges.
 //
 // Scenarios span the regimes the engine has to get right: the paper's
-// one-way and two-way dumbbells (fig2/fig6 shapes), the chaos dumbbell
+// one-way and two-way dumbbells (Figs. 2, 4, 6) and its §5 four-switch
+// chain, built by the same factories the tools run, the chaos dumbbell
 // (fault timers + Gilbert-Elliott impairments on the cut link), the
 // parking-lot chain (multi-switch, cross traffic on every hop), and
 // datacenter incast with open-loop session churn (star partition, tiny
@@ -133,57 +134,28 @@ void expect_invariant(const TopoSpec& spec, bool expect_serial_match = true) {
       << spec.name << ": shards=4/wheel";
 }
 
-// A fig2/fig6-shaped dumbbell as a TopoSpec: two hosts per side, two
-// switches, a monitored trunk both ways. `reverse_flows` adds the two-way
-// traffic of fig6.
-TopoSpec dumbbell_spec(double tau_sec, std::size_t buffer,
-                       std::size_t forward_flows,
-                       std::size_t reverse_flows) {
-  TopoSpec spec;
-  spec.name = "dumbbell";
-  Topology& t = spec.topo;
-  const std::size_t a0 = t.add_host("a0");
-  const std::size_t a1 = t.add_host("a1");
-  const std::size_t b0 = t.add_host("b0");
-  const std::size_t b1 = t.add_host("b1");
-  const std::size_t s0 = t.add_switch("s0");
-  const std::size_t s1 = t.add_switch("s1");
-  const net::QueueLimit access_buf = net::QueueLimit::infinite();
-  t.add_link(a0, s0, 10'000'000, sim::Time::microseconds(100), access_buf);
-  t.add_link(a1, s0, 10'000'000, sim::Time::microseconds(100), access_buf);
-  t.add_link(b0, s1, 10'000'000, sim::Time::microseconds(100), access_buf);
-  t.add_link(b1, s1, 10'000'000, sim::Time::microseconds(100), access_buf);
-  t.add_link(s0, s1, 50'000, sim::Time::seconds(tau_sec),
-             net::QueueLimit::of(buffer));
-  t.monitor(s0, s1);
-  t.monitor(s1, s0);
-  ConnSpec fwd;
-  fwd.src = "a0";
-  fwd.dst = "b0";
-  fwd.count = forward_flows;
-  fwd.start_spread = sim::Time::seconds(2.0);
-  fwd.seed = 101;
-  spec.traffic.add(fwd);
-  if (reverse_flows > 0) {
-    ConnSpec rev;
-    rev.src = "b1";
-    rev.dst = "a1";
-    rev.count = reverse_flows;
-    rev.start_spread = sim::Time::seconds(2.0);
-    rev.seed = 102;
-    spec.traffic.add(rev);
-  }
+// The paper's own scenarios, exactly as the tools and benches build them,
+// with the measurement shortened so each cross product stays quick.
+TopoSpec shortened(TopoSpec spec) {
   spec.warmup = sim::Time::seconds(20.0);
   spec.duration = sim::Time::seconds(80.0);
   return spec;
 }
 
 TEST(ShardEquivalence, Fig2OneWayDumbbell) {
-  expect_invariant(dumbbell_spec(0.01, 20, 2, 0));
+  expect_invariant(shortened(fig2_one_way()));
+}
+
+TEST(ShardEquivalence, Fig4TwoWaySmallPipe) {
+  expect_invariant(shortened(fig4_twoway()));
 }
 
 TEST(ShardEquivalence, Fig6TwoWayLargePipe) {
-  expect_invariant(dumbbell_spec(1.0, 20, 1, 1));
+  expect_invariant(shortened(fig6_twoway()));
+}
+
+TEST(ShardEquivalence, FourSwitchChain) {
+  expect_invariant(shortened(four_switch_chain()));
 }
 
 TEST(ShardEquivalence, ChaosFaultedDumbbell) {

@@ -8,7 +8,7 @@ namespace tcpdyn::core {
 namespace {
 
 TEST(Smoke, TwoWayTahoeRuns) {
-  Scenario sc = fig4_twoway();
+  Scenario sc = make_topo_scenario(fig4_twoway());
   sc.warmup = sim::Time::seconds(20.0);
   sc.duration = sim::Time::seconds(60.0);
   const ScenarioSummary s = run_scenario(sc);

@@ -11,19 +11,17 @@ namespace {
 
 class ConnectionTest : public ::testing::Test {
  protected:
-  ConnectionTest() {
-    handles_ = core::build_dumbbell(exp_, core::DumbbellParams{});
-  }
   core::Experiment exp_;
-  core::DumbbellHandles handles_;
+  const core::CompiledTopology handles_ =
+      core::dumbbell_topology(core::DumbbellParams{}).compile(exp_);
 };
 
 TEST_F(ConnectionTest, TahoeKindAccessors) {
   ConnectionConfig cfg;
   cfg.id = 0;
-  cfg.src_host = handles_.host1;
-  cfg.dst_host = handles_.host2;
-  cfg.kind = SenderKind::kTahoe;
+  cfg.src_host = handles_.id("H1");
+  cfg.dst_host = handles_.id("H2");
+  cfg.kind = CcAlgorithm::kTahoe;
   Connection conn(exp_.network(), cfg);
   EXPECT_NE(conn.tahoe(), nullptr);
   EXPECT_EQ(conn.fixed(), nullptr);
@@ -33,9 +31,9 @@ TEST_F(ConnectionTest, TahoeKindAccessors) {
 TEST_F(ConnectionTest, FixedKindAccessors) {
   ConnectionConfig cfg;
   cfg.id = 1;
-  cfg.src_host = handles_.host2;
-  cfg.dst_host = handles_.host1;
-  cfg.kind = SenderKind::kFixedWindow;
+  cfg.src_host = handles_.id("H2");
+  cfg.dst_host = handles_.id("H1");
+  cfg.kind = CcAlgorithm::kFixedWindow;
   cfg.fixed_window = 7;
   Connection conn(exp_.network(), cfg);
   EXPECT_EQ(conn.tahoe(), nullptr);
@@ -46,8 +44,8 @@ TEST_F(ConnectionTest, FixedKindAccessors) {
 TEST_F(ConnectionTest, ClosedLoopTransfer) {
   ConnectionConfig cfg;
   cfg.id = 0;
-  cfg.src_host = handles_.host1;
-  cfg.dst_host = handles_.host2;
+  cfg.src_host = handles_.id("H1");
+  cfg.dst_host = handles_.id("H2");
   Connection conn(exp_.network(), cfg);
   exp_.sim().run_until(sim::Time::seconds(30.0));
   // 50 Kbps bottleneck moves 12.5 packets/s; after 30 s a healthy ACK-clocked
@@ -61,8 +59,8 @@ TEST_F(ConnectionTest, ClosedLoopTransfer) {
 TEST_F(ConnectionTest, StartTimeHonored) {
   ConnectionConfig cfg;
   cfg.id = 0;
-  cfg.src_host = handles_.host1;
-  cfg.dst_host = handles_.host2;
+  cfg.src_host = handles_.id("H1");
+  cfg.dst_host = handles_.id("H2");
   cfg.start_time = sim::Time::seconds(5.0);
   Connection conn(exp_.network(), cfg);
   exp_.sim().run_until(sim::Time::seconds(4.9));
@@ -74,8 +72,8 @@ TEST_F(ConnectionTest, StartTimeHonored) {
 TEST_F(ConnectionTest, ReverseDirectionWorks) {
   ConnectionConfig cfg;
   cfg.id = 0;
-  cfg.src_host = handles_.host2;  // data flows Host-2 -> Host-1
-  cfg.dst_host = handles_.host1;
+  cfg.src_host = handles_.id("H2");  // data flows Host-2 -> Host-1
+  cfg.dst_host = handles_.id("H1");
   Connection conn(exp_.network(), cfg);
   exp_.sim().run_until(sim::Time::seconds(10.0));
   EXPECT_GT(conn.receiver().next_expected(), 50u);

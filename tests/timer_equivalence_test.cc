@@ -86,7 +86,7 @@ template <typename MakeScenario>
 std::string digest_with(sim::TimerBackend backend, MakeScenario make,
                         double warmup, double duration) {
   sim::set_default_timer_backend(backend);
-  Scenario sc = make();
+  Scenario sc = make_topo_scenario(make());
   sim::set_default_timer_backend(sim::TimerBackend::kSlab);
   EXPECT_EQ(sc.exp->sim().timer_backend(), backend);
   return run_digest(std::move(sc), warmup, duration);
@@ -128,7 +128,7 @@ TEST(TimerEquivalence, DelayedAckTwoWay) {
 TEST(TimerEquivalence, ParkingLot512Flows) {
   // 512 concurrent flows: wide bucket occupancy, heavy per-ACK RTO rearm.
   ParkingLotParams p;
-  expect_backends_identical([&p] { return parking_lot_scenario(p); },
+  expect_backends_identical([&p] { return parking_lot_spec(p); },
                             p.warmup_sec, p.duration_sec);
 }
 
@@ -141,7 +141,7 @@ TEST(TimerEquivalence, ChaosFaultPlan) {
   p.outage_sec = 1.0;
   p.warmup_sec = 30.0;
   p.duration_sec = 120.0;
-  expect_backends_identical([&p] { return chaos_scenario(p); }, p.warmup_sec,
+  expect_backends_identical([&p] { return chaos_spec(p); }, p.warmup_sec,
                             p.duration_sec);
 }
 

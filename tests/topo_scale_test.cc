@@ -12,8 +12,9 @@ namespace {
 
 TEST(TopoScale, ParkingLot512FlowsClosesFullLedger) {
   ParkingLotParams p;  // 128 long + 4 x 96 cross = 512 flows
-  Scenario sc = parking_lot_scenario(p);
-  ASSERT_EQ(sc.tahoe_connections, 512u);
+  const TopoSpec spec = parking_lot_spec(p);
+  ASSERT_EQ(spec.traffic.adaptive_flow_count(), 512u);
+  Scenario sc = make_topo_scenario(spec);
   sc.exp->set_audit_mode(AuditMode::kFull);  // run() throws on any violation
   const ScenarioSummary s = run_scenario(sc);
 
@@ -44,23 +45,23 @@ void expect_identical(const ScenarioSummary& a, const ScenarioSummary& b) {
 
 TEST(TopoScale, RingScenarioIsSeedDeterministic) {
   RingParams p;
-  Scenario s1 = ring_scenario(p);
-  Scenario s2 = ring_scenario(p);
+  Scenario s1 = make_topo_scenario(ring_spec(p));
+  Scenario s2 = make_topo_scenario(ring_spec(p));
   expect_identical(run_scenario(s1), run_scenario(s2));
 
   RingParams q;
   q.seed = p.seed + 1;
-  Scenario s3 = ring_scenario(q);
+  Scenario s3 = make_topo_scenario(ring_spec(q));
   const ScenarioSummary other = run_scenario(s3);
-  Scenario s4 = ring_scenario(p);
+  Scenario s4 = make_topo_scenario(ring_spec(p));
   const ScenarioSummary base = run_scenario(s4);
   EXPECT_NE(base.result.delivered, other.result.delivered);
 }
 
 TEST(TopoScale, WaxmanScenarioIsSeedDeterministic) {
   WaxmanParams p;
-  Scenario s1 = waxman_scenario(p);
-  Scenario s2 = waxman_scenario(p);
+  Scenario s1 = make_topo_scenario(waxman_spec(p));
+  Scenario s2 = make_topo_scenario(waxman_spec(p));
   expect_identical(run_scenario(s1), run_scenario(s2));
 }
 

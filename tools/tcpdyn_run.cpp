@@ -1,7 +1,7 @@
 // tcpdyn_run — run any configuration of the study from the command line.
 //
 //   tcpdyn_run --scenario fig4                       # a paper figure
-//   tcpdyn_run --scenario twoway --tau 0.1 --buffer 40 --sender reno
+//   tcpdyn_run --scenario twoway --tau 0.1 --buffer 40 --cc reno
 //   tcpdyn_run --scenario oneway --conns 5 --duration 600 --chart
 //   tcpdyn_run --scenario fixed --w1 30 --w2 25 --tau 1
 //   tcpdyn_run --scenario chain --conns 50 --csv-dir out/
@@ -13,7 +13,6 @@
 #include <chrono>
 #include <filesystem>
 #include <iostream>
-#include <optional>
 
 #include "core/cc_matrix.h"
 #include "core/csv_export.h"
@@ -51,7 +50,6 @@ void declare_flags(util::Flags& flags) {
       .flag("tau", "SEC", "bottleneck propagation delay", 0.01)
       .flag("buffer", "PKTS", "bottleneck buffer", 20)
       .flag("conns", "N", "connection / flow count", 2)
-      .flag("sender", "tahoe|reno", "adaptive sender kind", "tahoe")
       .flag("cc", "LIST",
             "comma-separated congestion controllers (" +
                 tcp::cc_registry().names_joined() +
@@ -60,7 +58,6 @@ void declare_flags(util::Flags& flags) {
             "")
       .flag("delayed-ack", "receiver delayed-ACK option", false)
       .flag("pacing", "SEC", "pacing interval (0 = nonpaced)", 0.0)
-      .flag("random-drop", "random-drop bottleneck discipline", false)
       .flag("qdisc", "NAME",
             "bottleneck queue discipline (" +
                 net::qdisc_registry().names_joined() +
@@ -93,8 +90,7 @@ void declare_flags(util::Flags& flags) {
             "slab")
       .flag("shards", "N",
             "partition the run across N shard simulators with conservative "
-            "lookahead (identical results at any N; topology-backed "
-            "scenarios only)",
+            "lookahead (identical results at any N)",
             1)
       .flag("trace", "PATH", "write a JSONL event trace here", "");
 }
@@ -121,66 +117,50 @@ std::vector<tcp::CcAlgorithm> parse_cc_list(const std::string& list) {
   return out;
 }
 
-// Parses --qdisc into a full discipline config; nullopt when the flag is
-// unset (keep the scenario's historic drop-policy path). The registry
-// throws on an unknown name.
-std::optional<net::QdiscConfig> parse_qdisc_flag(const util::Flags& flags) {
+// Parses --qdisc into a discipline config; drop-tail when the flag is
+// unset. The registry throws on an unknown name.
+net::QdiscConfig parse_qdisc_flag(const util::Flags& flags) {
+  net::QdiscConfig config;
   const std::string name = flags.get("qdisc");
-  if (name.empty()) return std::nullopt;
+  if (name.empty()) return config;
   const net::QdiscChoice& choice =
       net::qdisc_registry().require(name, "queue discipline");
-  net::QdiscConfig config;
   config.kind = choice.kind;
   config.red.ecn = choice.ecn;
   return config;
 }
 
-core::Scenario custom_dumbbell(const util::Flags& flags, bool two_way) {
+core::TopoSpec custom_dumbbell(const util::Flags& flags, bool two_way) {
   core::DumbbellParams p;
   p.tau = sim::Time::seconds(flags.get_double("tau"));
   const auto buffer = static_cast<std::size_t>(flags.get_int("buffer"));
   p.buffer_fwd = net::QueueLimit::of(buffer);
   p.buffer_rev = net::QueueLimit::of(buffer);
-  if (flags.get_bool("random-drop")) {
-    p.bottleneck_policy = net::DropPolicy::kRandomDrop;
-  }
   p.bottleneck_qdisc = parse_qdisc_flag(flags);
 
+  core::TopoSpec spec;
+  spec.name = two_way ? "twoway" : "oneway";
+  spec.topo = core::dumbbell_topology(p);
+  spec.epoch_gap_sec = p.tau >= sim::Time::seconds(0.5) ? 8.0 : 2.0;
   const auto n = static_cast<std::size_t>(flags.get_int("conns"));
-  const std::string sender = flags.get("sender");
-  // --cc overrides --sender and may mix algorithms across the flows.
+  // --cc may mix algorithms across the flows.
   const std::vector<tcp::CcAlgorithm> cc_list = parse_cc_list(flags.get("cc"));
-  std::vector<core::ConnSpec> conns(n);
   for (std::size_t i = 0; i < n; ++i) {
-    conns[i].forward = two_way ? i < (n + 1) / 2 : true;
-    conns[i].kind = !cc_list.empty() ? cc_list[i % cc_list.size()]
-                    : sender == "reno" ? tcp::SenderKind::kReno
-                                       : tcp::SenderKind::kTahoe;
-    conns[i].delayed_ack = flags.get_bool("delayed-ack");
-    conns[i].ecn = flags.get_bool("ecn");
-    conns[i].pacing_interval = sim::Time::seconds(flags.get_double("pacing"));
-    conns[i].start_time = sim::Time::seconds(0.37 * static_cast<double>(i));
+    core::ConnSpec c = core::dumbbell_flow(two_way ? i < (n + 1) / 2 : true);
+    c.kind = cc_list.empty() ? tcp::CcAlgorithm::kTahoe
+                             : cc_list[i % cc_list.size()];
+    c.delayed_ack = flags.get_bool("delayed-ack");
+    c.ecn = flags.get_bool("ecn");
+    c.pacing_interval = sim::Time::seconds(flags.get_double("pacing"));
+    c.start_time = sim::Time::seconds(0.37 * static_cast<double>(i));
+    spec.traffic.add(std::move(c));
   }
-
-  core::Scenario s;
-  s.name = two_way ? "twoway" : "oneway";
-  s.exp = std::make_unique<core::Experiment>();
-  s.warmup = sim::Time::seconds(100.0);
-  s.duration = sim::Time::seconds(400.0);
-  s.epoch_gap_sec = p.tau >= sim::Time::seconds(0.5) ? 8.0 : 2.0;
-  s.tahoe_connections = n;
-  s.dumbbell = p;
-  const core::DumbbellHandles h = core::build_dumbbell(*s.exp, p);
-  core::add_dumbbell_connections(*s.exp, h, conns);
-  return s;
+  return spec;
 }
 
-// Builds the TopoSpec behind `which` when the scenario is topology-backed
-// (and therefore shardable); nullopt for the hand-rolled dumbbell/chain
-// scenarios. `build` routes these through make_topo_scenario, so the serial
-// and sharded paths run the exact same spec.
-std::optional<core::TopoSpec> build_spec(const std::string& which,
-                                         const util::Flags& flags) {
+// Builds the TopoSpec behind `which`; the serial and sharded paths run the
+// exact same spec.
+core::TopoSpec build_spec(const std::string& which, const util::Flags& flags) {
   const auto size = [&](const std::string& name) {
     return static_cast<std::size_t>(flags.get_int(name));
   };
@@ -232,7 +212,7 @@ std::optional<core::TopoSpec> build_spec(const std::string& which,
     if (flags.has("tau")) p.tau_sec = flags.get_double("tau");
     if (flags.has("buffer")) p.buffer = size("buffer");
     if (flags.has("conns")) p.flows = size("conns");
-    if (const auto qdisc = parse_qdisc_flag(flags)) p.qdisc = *qdisc;
+    p.qdisc = parse_qdisc_flag(flags);
     p.ecn = flags.get_bool("ecn");
     const std::vector<tcp::CcAlgorithm> cc = parse_cc_list(flags.get("cc"));
     if (!cc.empty()) p.cc = cc.front();
@@ -277,17 +257,6 @@ std::optional<core::TopoSpec> build_spec(const std::string& which,
     }
     return spec;
   }
-  return std::nullopt;
-}
-
-core::Scenario build(const std::string& which, const util::Flags& flags) {
-  if (std::optional<core::TopoSpec> spec = build_spec(which, flags)) {
-    return core::make_topo_scenario(*spec);
-  }
-  const auto size = [&](const std::string& name) {
-    return static_cast<std::size_t>(flags.get_int(name));
-  };
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   if (which == "fig2") {
     return core::fig2_one_way(flags.has("conns") ? size("conns") : 3,
                               flags.has("tau") ? flags.get_double("tau") : 1.0,
@@ -396,45 +365,41 @@ int main(int argc, char** argv) {
   // "--shards 4 is byte-identical to --shards 1" holds exactly; without the
   // flag the historic serial path runs.
   const auto shards = static_cast<std::size_t>(flags.get_int("shards"));
-  std::string name;
-  core::ScenarioSummary s;
   if (flags.has("shards")) {
     if (shards < 1) return fail(flags, "--shards must be >= 1");
-    // Sharded execution: run the TopoSpec through the conservative-lookahead
-    // engine. Output is bit-identical to --shards 1 (and to the serial path
-    // for runs without cross-node event-time ties).
     if (flags.has("trace")) {
       return fail(flags,
                   "--trace is not supported with --shards "
                   "(one JSONL stream, many shard clocks)");
     }
-    std::optional<core::TopoSpec> spec;
+  }
+  core::TopoSpec spec;
+  try {
+    spec = build_spec(which, flags);
+  } catch (const std::exception& e) {
+    return fail(flags, e.what());
+  }
+  if (flags.has("warmup")) {
+    spec.warmup = sim::Time::seconds(flags.get_double("warmup", 100.0));
+  }
+  if (flags.has("duration")) {
+    spec.duration = sim::Time::seconds(flags.get_double("duration", 400.0));
+  }
+  const std::string& name = spec.name;
+  core::ScenarioSummary s;
+  if (flags.has("shards")) {
+    // Sharded execution: run the TopoSpec through the conservative-lookahead
+    // engine. Output is bit-identical to --shards 1 (and to the serial path
+    // for runs without cross-node event-time ties).
     try {
-      spec = build_spec(which, flags);
-    } catch (const std::exception& e) {
-      return fail(flags, e.what());
-    }
-    if (!spec) {
-      return fail(flags, "--shards requires a topology-backed scenario "
-                         "(ring|parking-lot|waxman|chaos|red-wave|"
-                         "datacenter|topo)");
-    }
-    if (flags.has("warmup")) {
-      spec->warmup = sim::Time::seconds(flags.get_double("warmup", 100.0));
-    }
-    if (flags.has("duration")) {
-      spec->duration = sim::Time::seconds(flags.get_double("duration", 400.0));
-    }
-    name = spec->name;
-    try {
-      core::ShardedEngine engine(*spec, shards, audit_mode);
+      core::ShardedEngine engine(spec, shards, audit_mode);
       const auto wall0 = std::chrono::steady_clock::now();
       core::ExperimentResult result = engine.run();
       const double wall_sec =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         wall0)
               .count();
-      s = core::summarize_result(std::move(result), spec->epoch_gap_sec);
+      s = core::summarize_result(std::move(result), spec.epoch_gap_sec);
       // Stderr, not stdout: the plan shape, event count, and throughput all
       // legitimately vary with the shard count, while stdout must stay
       // byte-identical across shard counts (CI compares it).
@@ -451,24 +416,14 @@ int main(int argc, char** argv) {
   } else {
     core::Scenario scenario;
     try {
-      scenario = build(which, flags);
+      scenario = core::make_topo_scenario(spec);
     } catch (const std::exception& e) {
       return fail(flags, e.what());
-    }
-
-    if (flags.has("warmup")) {
-      scenario.warmup = sim::Time::seconds(flags.get_double("warmup", 100.0));
-    }
-    if (flags.has("duration")) {
-      scenario.duration =
-          sim::Time::seconds(flags.get_double("duration", 400.0));
     }
     scenario.exp->set_audit_mode(audit_mode);
     if (flags.has("trace")) {
       scenario.exp->enable_trace(flags.get("trace"));
     }
-
-    name = scenario.name;
     s = core::run_scenario(scenario);
   }
   core::print_summary(std::cout, name, s);

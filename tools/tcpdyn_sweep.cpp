@@ -83,8 +83,7 @@ void declare_flags(util::Flags& flags) {
             "slab")
       .flag("shards", "N",
             "run every point through the sharded engine on N shard "
-            "simulators (identical results at any N; topology-backed "
-            "scenarios only — composes with --jobs)",
+            "simulators (identical results at any N; composes with --jobs)",
             1)
       .flag("progress", "log per-point progress and ETA to stderr", false)
       .flag("quiet", "suppress the summary table on stdout", false)
@@ -107,13 +106,12 @@ double param(const core::SweepPoint& pt, const util::Flags& flags,
   return pt.value_or(name, flags.get_double(name, fallback));
 }
 
-// TopoSpec behind the topology-backed sweep scenarios (the ones --shards
-// can run); nullopt otherwise. build_scenario routes these through
-// make_topo_scenario so serial and sharded points run the same spec.
-std::optional<core::TopoSpec> build_point_spec(const std::string& which,
-                                               const core::SweepPoint& pt,
-                                               const util::Flags& flags) {
+// TopoSpec behind one sweep point; serial and sharded points run the same
+// spec.
+core::TopoSpec point_spec(const std::string& which, const core::SweepPoint& pt,
+                          const util::Flags& flags) {
   const auto as_size = [](double v) { return static_cast<std::size_t>(v); };
+  const auto as_u32 = [](double v) { return static_cast<std::uint32_t>(v); };
   if (which == "ring") {
     core::RingParams p;
     p.switches = as_size(param(pt, flags, "switches", 6));
@@ -178,17 +176,6 @@ std::optional<core::TopoSpec> build_point_spec(const std::string& which,
     p.seed = pt.seed;
     return core::chaos_spec(p);
   }
-  return std::nullopt;
-}
-
-core::Scenario build_scenario(const std::string& which,
-                              const core::SweepPoint& pt,
-                              const util::Flags& flags) {
-  if (std::optional<core::TopoSpec> spec = build_point_spec(which, pt, flags)) {
-    return core::make_topo_scenario(*spec);
-  }
-  const auto as_size = [](double v) { return static_cast<std::size_t>(v); };
-  const auto as_u32 = [](double v) { return static_cast<std::uint32_t>(v); };
   if (which == "fig2" || which == "oneway") {
     return core::fig2_one_way(as_size(param(pt, flags, "conns", 3)),
                               param(pt, flags, "tau", 1.0),
@@ -337,33 +324,20 @@ int main(int argc, char** argv) {
   core::SweepTable table;
   try {
     table = runner.run([&](const core::SweepPoint& pt) {
-      if (sharded) {
-        std::optional<core::TopoSpec> spec = build_point_spec(which, pt, flags);
-        if (!spec) {
-          throw std::invalid_argument(
-              "--shards requires a topology-backed scenario "
-              "(ring|parking-lot|waxman|chaos|red-wave)");
-        }
-        if (flags.has("warmup")) {
-          spec->warmup = sim::Time::seconds(flags.get_double("warmup", 100.0));
-        }
-        if (flags.has("duration")) {
-          spec->duration =
-              sim::Time::seconds(flags.get_double("duration", 400.0));
-        }
-        core::ShardedEngine engine(
-            *spec, shards, audit_mode.value_or(core::kDefaultAuditMode));
-        core::ScenarioSummary s =
-            core::summarize_result(engine.run(), spec->epoch_gap_sec);
-        return core::summary_row(pt, s);
-      }
-      core::Scenario sc = build_scenario(which, pt, flags);
+      core::TopoSpec spec = point_spec(which, pt, flags);
       if (flags.has("warmup")) {
-        sc.warmup = sim::Time::seconds(flags.get_double("warmup", 100.0));
+        spec.warmup = sim::Time::seconds(flags.get_double("warmup", 100.0));
       }
       if (flags.has("duration")) {
-        sc.duration = sim::Time::seconds(flags.get_double("duration", 400.0));
+        spec.duration = sim::Time::seconds(flags.get_double("duration", 400.0));
       }
+      if (sharded) {
+        core::ShardedEngine engine(
+            spec, shards, audit_mode.value_or(core::kDefaultAuditMode));
+        return core::summary_row(
+            pt, core::summarize_result(engine.run(), spec.epoch_gap_sec));
+      }
+      core::Scenario sc = core::make_topo_scenario(spec);
       if (audit_mode) sc.exp->set_audit_mode(*audit_mode);
       if (!trace_prefix.empty()) {
         sc.exp->enable_trace(trace_prefix + ".point" +
