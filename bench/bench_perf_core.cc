@@ -6,8 +6,9 @@
 // end-to-end, a 512-flow parking-lot macro run (the Topology layer at
 // scale), a 3×3 congestion-control head-to-head matrix (the strategy
 // dispatch plus SACK/CUBIC/Vegas code paths), an all-BBR two-way dumbbell
-// (the delivery-rate sampler and pacing-timer hot paths), and a 16-point
-// Fig-4 sweep — and reports events/sec, packets/sec,
+// (the delivery-rate sampler and pacing-timer hot paths), a 16-point
+// Fig-4 sweep, and an analysis micro (the period search and the full
+// post-run summary) — and reports events/sec, packets/sec,
 // wall time, and peak RSS as JSON.
 //
 //   bench_perf_core --out BENCH_core.json              # measure
@@ -44,10 +45,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <numbers>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -61,6 +65,7 @@
 #include "sim/simulator.h"
 #include "sim/timer_wheel.h"
 #include "util/flags.h"
+#include "util/stats.h"
 
 using namespace tcpdyn;
 
@@ -462,6 +467,71 @@ WorkloadResult best_of(int reps, MakeResult make) {
   return best;
 }
 
+// Analysis micro: the post-run statistics layer on its own, as trend rows
+// (not gated: they dispatch no events). `analysis_micro_period` times
+// util::dominant_period on 20k samples of a noisy sine whose first peak sits
+// near lag 100, the shape of the paper runs' queue traces;
+// `analysis_micro_aperiodic` on 20k samples of white noise, which has no
+// peak, so every lag up to n/2 is scanned (the worst case);
+// `analysis_micro_summarize` times core::summarize_result on a Fig-6 result
+// (the run and the copy of its result stay outside the timed region).
+std::vector<WorkloadResult> run_analysis_micro(double scale, int reps) {
+  constexpr std::size_t kSamples = 20'000;
+  std::uint64_t x = 0x2545f4914f6cdd1dULL;
+  const auto uniform = [&] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return static_cast<double>(x >> 11) * 0x1.0p-53;
+  };
+  std::vector<double> periodic, noise;
+  for (std::size_t i = 0; i < kSamples; ++i) {
+    periodic.push_back(std::sin(2.0 * std::numbers::pi *
+                                static_cast<double>(i) / 100.0) +
+                       0.5 * (uniform() - 0.5));
+    noise.push_back(uniform() - 0.5);
+  }
+  const auto time_period = [&](const std::string& name,
+                               const std::vector<double>& xs,
+                               bool expect_peak) {
+    return best_of(reps, [&] {
+      WorkloadResult r;
+      r.name = name;
+      r.gated = false;
+      const double t0 = now_sec();
+      const auto lag = util::dominant_period(xs, /*min_lag=*/2);
+      r.wall_sec = now_sec() - t0;
+      if (lag.has_value() != expect_peak) {
+        std::cerr << "bench_perf_core: " << name << " found "
+                  << (lag ? "a" : "no") << " period\n";
+        std::exit(1);
+      }
+      return r;
+    });
+  };
+  std::vector<WorkloadResult> rows;
+  rows.push_back(time_period("analysis_micro_period", periodic, true));
+  rows.push_back(time_period("analysis_micro_aperiodic", noise, false));
+
+  core::Scenario sc = core::make_topo_scenario(core::fig6_twoway());
+  sc.warmup = sim::Time::seconds(50.0 * scale);
+  sc.duration = sim::Time::seconds(3000.0 * scale);
+  const core::ExperimentResult fig6 = sc.exp->run(sc.warmup, sc.duration);
+  rows.push_back(best_of(reps, [&] {
+    WorkloadResult r;
+    r.name = "analysis_micro_summarize";
+    r.gated = false;
+    core::ExperimentResult copy = fig6;
+    const double t0 = now_sec();
+    const core::ScenarioSummary summary =
+        core::summarize_result(std::move(copy), sc.epoch_gap_sec);
+    r.wall_sec = now_sec() - t0;
+    r.sim_seconds = summary.result.t_end - summary.result.t_start;
+    return r;
+  }));
+  return rows;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -543,6 +613,9 @@ int main(int argc, char** argv) {
   }));
   results.push_back(run_incast100k(scale));
   results.push_back(run_sweep16(scale, jobs));
+  for (WorkloadResult& r : run_analysis_micro(scale, reps)) {
+    results.push_back(std::move(r));
+  }
 
   const bool gate_shard_speedup = flags.has("shard-speedup-min");
   const double shard_speedup_min =

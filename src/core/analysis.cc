@@ -59,9 +59,11 @@ AckCompressionStats ack_compression(std::span<const double> ack_times,
   AckCompressionStats s;
   s.gaps = gaps.size();
   if (gaps.empty()) return s;
-  s.min_gap = *std::min_element(gaps.begin(), gaps.end());
-  s.p10_gap = util::percentile(gaps, 10.0);
-  s.median_gap = util::percentile(gaps, 50.0);
+  // One sort serves the minimum and both percentiles.
+  std::sort(gaps.begin(), gaps.end());
+  s.min_gap = gaps.front();
+  s.p10_gap = util::percentile_sorted(gaps, 10.0);
+  s.median_gap = util::percentile_sorted(gaps, 50.0);
   std::size_t compressed = 0;
   for (double g : gaps) {
     if (g < 0.5 * data_tx_time) ++compressed;

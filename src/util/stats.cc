@@ -36,9 +36,13 @@ double mean(std::span<const double> xs) {
 }
 
 double percentile(std::span<const double> xs, double p) {
-  if (xs.empty()) return 0.0;
   std::vector<double> sorted(xs.begin(), xs.end());
   std::sort(sorted.begin(), sorted.end());
+  return percentile_sorted(sorted, p);
+}
+
+double percentile_sorted(std::span<const double> sorted, double p) {
+  if (sorted.empty()) return 0.0;
   p = std::clamp(p, 0.0, 100.0);
   const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
   const auto lo = static_cast<std::size_t>(std::floor(rank));
@@ -135,21 +139,36 @@ LaggedCorrelation peak_cross_correlation(std::span<const double> a,
   return best;
 }
 
-double autocorrelation(std::span<const double> xs, std::size_t lag) {
-  const std::size_t n = xs.size();
-  if (lag >= n) return 0.0;
-  const double m = mean(xs);
-  double denom = 0.0;
+namespace {
+
+// Centred sum of squares about m: the autocorrelation denominator.
+double centred_sum_of_squares(std::span<const double> xs, double m) {
+  double sq = 0.0;
   for (double x : xs) {
     const double d = x - m;
-    denom += d * d;
+    sq += d * d;
   }
-  if (denom <= 0.0) return 0.0;
+  return sq;
+}
+
+// Sum of (xs[i] - m) * (xs[i + lag] - m) over the overlap; lag < xs.size().
+double lagged_cross_sum(std::span<const double> xs, double m,
+                        std::size_t lag) {
   double num = 0.0;
-  for (std::size_t i = 0; i + lag < n; ++i) {
+  for (std::size_t i = 0; i + lag < xs.size(); ++i) {
     num += (xs[i] - m) * (xs[i + lag] - m);
   }
-  return num / denom;
+  return num;
+}
+
+}  // namespace
+
+double autocorrelation(std::span<const double> xs, std::size_t lag) {
+  if (lag >= xs.size()) return 0.0;
+  const double m = mean(xs);
+  const double denom = centred_sum_of_squares(xs, m);
+  if (denom <= 0.0) return 0.0;
+  return lagged_cross_sum(xs, m, lag) / denom;
 }
 
 std::optional<std::size_t> dominant_period(std::span<const double> xs,
@@ -158,20 +177,30 @@ std::optional<std::size_t> dominant_period(std::span<const double> xs,
   const std::size_t n = xs.size();
   if (n < 4 || min_lag + 1 >= n / 2) return std::nullopt;
   const std::size_t max_lag = n / 2;
-  std::vector<double> ac(max_lag + 1, 0.0);
-  for (std::size_t lag = min_lag; lag <= max_lag; ++lag) {
-    ac[lag] = autocorrelation(xs, lag);
-  }
+  const double m = mean(xs);
+  const double denom = centred_sum_of_squares(xs, m);
+  // A flat series has autocorrelation 0 at every lag, which can never both
+  // dip below min_corr and reach it; NaN input compares false everywhere.
+  if (!(denom > 0.0)) return std::nullopt;
+  // autocorrelation(xs, lag) with the mean and denominator hoisted out: the
+  // same expression in the same order, so every value is bit-identical.
+  const auto ac = [&](std::size_t lag) {
+    return lagged_cross_sum(xs, m, lag) / denom;
+  };
   // First local maximum above the threshold: a lag whose autocorrelation
-  // exceeds both neighbours. Skip the initial decay from lag 0 by requiring
-  // the function to have dipped below min_corr at least once first.
+  // is at least both neighbours'. Skip the initial decay from lag 0 by
+  // requiring the function to have dipped below min_corr at least once
+  // first. Lags are evaluated lazily in order, so the scan stops at the
+  // first peak instead of tabulating all n/2 lags.
   bool dipped = false;
+  double prev = ac(min_lag);
+  double cur = ac(min_lag + 1);
   for (std::size_t lag = min_lag + 1; lag < max_lag; ++lag) {
-    if (ac[lag] < min_corr) dipped = true;
-    if (dipped && ac[lag] >= min_corr && ac[lag] >= ac[lag - 1] &&
-        ac[lag] >= ac[lag + 1]) {
-      return lag;
-    }
+    const double next = ac(lag + 1);
+    if (cur < min_corr) dipped = true;
+    if (dipped && cur >= min_corr && cur >= prev && cur >= next) return lag;
+    prev = cur;
+    cur = next;
   }
   return std::nullopt;
 }

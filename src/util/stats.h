@@ -35,6 +35,11 @@ double mean(std::span<const double> xs);
 // ranks. Empty input returns 0.0.
 double percentile(std::span<const double> xs, double p);
 
+// percentile() of an already ascending-sorted sample, without the copy and
+// sort: the same interpolation, bit for bit. Lets a caller that needs
+// several percentiles of one sample sort it once.
+double percentile_sorted(std::span<const double> sorted, double p);
+
 // Pearson correlation with an explicit degeneracy signal: a constant
 // (zero-variance) series has no defined correlation, and callers that
 // classify by rho must be able to tell "uncorrelated" (rho near 0) from
@@ -79,6 +84,10 @@ double autocorrelation(std::span<const double> xs, std::size_t lag);
 // lag of the first local maximum of the autocorrelation function that exceeds
 // `min_corr`. Searches lags in [min_lag, xs.size()/2]. Returns nullopt when
 // no such peak exists (aperiodic or too-short series).
+//
+// Cost: lags are evaluated in order and the search stops at the first peak,
+// so it is O(n*(P+2)) for a peak at lag P and O(n^2/2) when there is none
+// (every lag up to n/2 is scanned). A constant series returns in O(n).
 std::optional<std::size_t> dominant_period(std::span<const double> xs,
                                            std::size_t min_lag = 2,
                                            double min_corr = 0.1);

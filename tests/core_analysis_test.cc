@@ -1,10 +1,15 @@
 // Analysis-layer unit tests on synthetic traces with known answers.
 #include "core/analysis.h"
+#include "util/stats.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <vector>
 
 namespace tcpdyn::core {
 namespace {
@@ -120,6 +125,42 @@ TEST(AckCompression, EmptyAndWindowed) {
   const std::vector<double> times{0.5, 5.0, 5.1};
   const AckCompressionStats s = ack_compression(times, 4.0, 6.0, 0.08);
   EXPECT_EQ(s.gaps, 1u);  // only the 5.0 -> 5.1 gap lies in the window
+}
+
+TEST(AckCompression, SortedStatsMatchPercentileBitForBit) {
+  // ack_compression sorts the gaps once; its minimum, p10 and median must
+  // carry the same bits as min_element and util::percentile on the
+  // unsorted gaps, whatever the gap count (1, 2, odd, even, many).
+  std::uint64_t x = 0x243f6a8885a308d3ULL;
+  const auto uniform = [&] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return static_cast<double>(x >> 11) * 0x1.0p-53;
+  };
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const int acks : {2, 3, 4, 5, 10, 11, 97, 1000}) {
+    std::vector<double> times;
+    double t = 0.0;
+    for (int i = 0; i < acks; ++i) {
+      // Bursty spacing with ties: some gaps are exactly zero.
+      const double u = uniform();
+      t += u < 0.1 ? 0.0 : u < 0.5 ? 0.008 * u : 0.08 + 0.3 * u;
+      times.push_back(t);
+    }
+    std::vector<double> gaps;
+    for (std::size_t i = 1; i < times.size(); ++i) {
+      gaps.push_back(times[i] - times[i - 1]);
+    }
+    const AckCompressionStats s =
+        ack_compression(times, 0.0, t + 1.0, 0.08);
+    SCOPED_TRACE(acks);
+    ASSERT_EQ(s.gaps, gaps.size());
+    EXPECT_EQ(bits(s.min_gap),
+              bits(*std::min_element(gaps.begin(), gaps.end())));
+    EXPECT_EQ(bits(s.p10_gap), bits(util::percentile(gaps, 10.0)));
+    EXPECT_EQ(bits(s.median_gap), bits(util::percentile(gaps, 50.0)));
+  }
 }
 
 TEST(Epochs, GroupsByGap) {

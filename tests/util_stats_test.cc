@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
+#include <optional>
+#include <string>
 #include <vector>
 
 namespace tcpdyn::util {
@@ -177,6 +181,186 @@ TEST(DominantPeriod, AperiodicReturnsNullopt) {
   for (int i = 0; i < 100; ++i) xs.push_back(static_cast<double>(i));
   EXPECT_FALSE(dominant_period(detrend(xs)).has_value());
   EXPECT_FALSE(dominant_period(std::vector<double>{1.0, 2.0}).has_value());
+}
+
+// The full-table period search that dominant_period replaced, kept as the
+// reference for the differential tests below: it recomputes the mean and
+// the denominator for every lag and tabulates all n/2 lags before scanning
+// for the first peak.
+double reference_autocorrelation(std::span<const double> xs,
+                                 std::size_t lag) {
+  const std::size_t n = xs.size();
+  if (lag >= n) return 0.0;
+  const double m = mean(xs);
+  double denom = 0.0;
+  for (double x : xs) {
+    const double d = x - m;
+    denom += d * d;
+  }
+  if (denom <= 0.0) return 0.0;
+  double num = 0.0;
+  for (std::size_t i = 0; i + lag < n; ++i) {
+    num += (xs[i] - m) * (xs[i + lag] - m);
+  }
+  return num / denom;
+}
+
+std::optional<std::size_t> reference_dominant_period(
+    std::span<const double> xs, std::size_t min_lag, double min_corr) {
+  const std::size_t n = xs.size();
+  if (n < 4 || min_lag + 1 >= n / 2) return std::nullopt;
+  const std::size_t max_lag = n / 2;
+  std::vector<double> ac(max_lag + 1, 0.0);
+  for (std::size_t lag = min_lag; lag <= max_lag; ++lag) {
+    ac[lag] = reference_autocorrelation(xs, lag);
+  }
+  bool dipped = false;
+  for (std::size_t lag = min_lag + 1; lag < max_lag; ++lag) {
+    if (ac[lag] < min_corr) dipped = true;
+    if (dipped && ac[lag] >= min_corr && ac[lag] >= ac[lag - 1] &&
+        ac[lag] >= ac[lag + 1]) {
+      return lag;
+    }
+  }
+  return std::nullopt;
+}
+
+// Seeded xorshift64 stream of uniforms in [0, 1).
+class Uniform {
+ public:
+  explicit Uniform(std::uint64_t seed) : x_(seed) {}
+  double operator()() {
+    x_ ^= x_ << 13;
+    x_ ^= x_ >> 7;
+    x_ ^= x_ << 17;
+    return static_cast<double>(x_ >> 11) * 0x1.0p-53;
+  }
+
+ private:
+  std::uint64_t x_;
+};
+
+struct NamedSeries {
+  std::string name;
+  std::vector<double> xs;
+};
+
+std::vector<NamedSeries> differential_inputs() {
+  std::vector<NamedSeries> out;
+  Uniform u(0x9e3779b97f4a7c15ULL);
+  for (const double period : {5.0, 17.0, 40.0, 97.5}) {
+    std::vector<double> xs;
+    for (int i = 0; i < 600; ++i) {
+      xs.push_back(std::sin(2.0 * std::numbers::pi * i / period) +
+                   0.6 * (u() - 0.5) + 0.002 * i);
+    }
+    out.push_back({"noisy_sine_" + std::to_string(period), xs});
+    out.push_back({"noisy_sine_detrended_" + std::to_string(period),
+                   detrend(xs)});
+  }
+  for (const int half : {3, 30, 61}) {
+    std::vector<double> xs;
+    for (int i = 0; i < 500; ++i) xs.push_back((i / half) % 2 == 0 ? 1.0 : 0.0);
+    out.push_back({"square_" + std::to_string(half), xs});
+  }
+  for (int walk = 0; walk < 4; ++walk) {
+    std::vector<double> xs;
+    double level = 0.0;
+    for (int i = 0; i < 400 + 101 * walk; ++i) {
+      level += u() - 0.5;
+      xs.push_back(level);
+    }
+    out.push_back({"random_walk_" + std::to_string(walk), xs});
+    out.push_back({"random_walk_detrended_" + std::to_string(walk),
+                   detrend(xs)});
+  }
+  std::vector<double> noise;
+  for (int i = 0; i < 1500; ++i) noise.push_back(u() - 0.5);
+  out.push_back({"white_noise", noise});
+  out.push_back({"constant_9", std::vector<double>(9, 3.25)});
+  out.push_back({"constant_300", std::vector<double>(300, -1.5)});
+  out.push_back({"zeros_64", std::vector<double>(64, 0.0)});
+  for (std::size_t n = 0; n <= 9; ++n) {
+    std::vector<double> xs;
+    for (std::size_t i = 0; i < n; ++i) {
+      xs.push_back(std::sin(2.0 * std::numbers::pi * i / 3.0) + 0.1 * u());
+    }
+    out.push_back({"length_" + std::to_string(n), xs});
+  }
+  // A pure sine of period P over 2P + 2 samples peaks first at lag P, the
+  // last lag the search admits (max_lag - 1 with max_lag = n/2 = P + 1).
+  for (const int period : {4, 10, 29, 100}) {
+    std::vector<double> xs;
+    for (int i = 0; i < 2 * period + 2; ++i) {
+      xs.push_back(std::sin(2.0 * std::numbers::pi * i / period));
+    }
+    out.push_back({"last_lag_peak_" + std::to_string(period), xs});
+  }
+  // The autocorrelation at lags 4 and 5 is exactly equal: the peak at 4
+  // stands only because a tie with the next lag counts as a maximum.
+  out.push_back({"tied_peak", {0, 0, 0, 1, 2, 1, 0, 2, 2, 2}});
+  return out;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(DominantPeriod, MatchesFullTableReference) {
+  std::size_t found = 0, missing = 0;
+  for (const NamedSeries& s : differential_inputs()) {
+    for (const std::size_t min_lag : {0u, 1u, 2u, 5u, 20u}) {
+      for (const double min_corr : {-0.2, 0.0, 0.1, 0.35, 0.9}) {
+        SCOPED_TRACE(s.name + " min_lag=" + std::to_string(min_lag) +
+                     " min_corr=" + std::to_string(min_corr));
+        const auto want = reference_dominant_period(s.xs, min_lag, min_corr);
+        EXPECT_EQ(dominant_period(s.xs, min_lag, min_corr), want);
+        ++(want ? found : missing);
+      }
+    }
+    SCOPED_TRACE(s.name);
+    EXPECT_EQ(dominant_period(s.xs), reference_dominant_period(s.xs, 2, 0.1));
+  }
+  // Both outcomes are exercised, so agreement is not vacuous.
+  EXPECT_GT(found, 50u);
+  EXPECT_GT(missing, 50u);
+}
+
+TEST(DominantPeriod, ReferenceFixturesHitTheirCases) {
+  // Guards the differential inputs: the periodic ones have a peak, the
+  // flat, white-noise and too-short ones (n < 8 leaves no lag between
+  // min_lag 2 and n/2) do not, and the last-lag fixtures really peak at
+  // max_lag - 1.
+  for (const NamedSeries& s : differential_inputs()) {
+    SCOPED_TRACE(s.name);
+    const auto p = reference_dominant_period(s.xs, 2, 0.1);
+    if (s.name.starts_with("noisy_sine_detrended_") ||
+        s.name.starts_with("square_")) {
+      EXPECT_TRUE(p.has_value());
+    }
+    if (s.name.starts_with("constant_") || s.name.starts_with("zeros_") ||
+        s.name == "white_noise" || s.xs.size() < 8) {
+      EXPECT_FALSE(p.has_value());
+    }
+    if (s.name == "tied_peak") {
+      EXPECT_EQ(p, std::optional<std::size_t>(4));
+      EXPECT_EQ(bits(reference_autocorrelation(s.xs, 4)),
+                bits(reference_autocorrelation(s.xs, 5)));
+    }
+    if (s.name.starts_with("last_lag_peak_")) {
+      ASSERT_TRUE(p.has_value());
+      EXPECT_EQ(*p, s.xs.size() / 2 - 1);
+    }
+  }
+}
+
+TEST(Autocorrelation, MatchesReferenceBitForBit) {
+  for (const NamedSeries& s : differential_inputs()) {
+    SCOPED_TRACE(s.name);
+    for (std::size_t lag = 0; lag <= s.xs.size() + 1; ++lag) {
+      ASSERT_EQ(bits(autocorrelation(s.xs, lag)),
+                bits(reference_autocorrelation(s.xs, lag)))
+          << "lag " << lag;
+    }
+  }
 }
 
 TEST(RunLengths, Empty) {
