@@ -129,7 +129,7 @@ ShardPlan plan_shards(const Topology& topo, const FaultPlan& faults,
 // ----------------------------------------------------------------- engine
 
 ShardedEngine::ShardedEngine(const TopoSpec& spec, std::size_t shards,
-                             AuditMode audit_mode, sim::TimerBackend backend)
+                             AuditMode audit_mode)
     : plan_(plan_shards(spec.topo, spec.faults, shards)),
       warmup_(spec.warmup),
       end_(spec.warmup + spec.duration),
@@ -138,7 +138,7 @@ ShardedEngine::ShardedEngine(const TopoSpec& spec, std::size_t shards,
   sims_.reserve(n);
   engine_ctx_.resize(n);  // before any pointer is taken; never resized again
   for (std::size_t s = 0; s < n; ++s) {
-    sims_.push_back(std::make_unique<sim::Simulator>(backend));
+    sims_.push_back(std::make_unique<sim::Simulator>());
     // The engine's own setup identity: sorts after every node context at the
     // same key, mirroring the serial run scheduling its bookkeeping events
     // after the model's.

@@ -28,7 +28,7 @@
 //    used for a local delivery. Keys are a function of per-node event
 //    histories only, never of the partition, so the merged execution order
 //    is invariant under the shard count (shard_equivalence_test pins this
-//    for 1/2/4 shards on both timer backends).
+//    for 1/2/4 shards).
 //
 //  * Audit: each shard keeps its own packet-lifecycle ledger; a crossing
 //    packet is handed between ledgers at the barrier (exactly-once
@@ -51,6 +51,7 @@
 #include "net/packet.h"
 #include "sim/det_context.h"
 #include "sim/simulator.h"
+#include "sim/timer_wheel.h"
 
 namespace tcpdyn::core {
 
@@ -85,8 +86,11 @@ ShardPlan plan_shards(const Topology& topo, const FaultPlan& faults,
 class ShardedEngine {
  public:
   ShardedEngine(const TopoSpec& spec, std::size_t shards,
-                AuditMode audit_mode = kDefaultAuditMode,
-                sim::TimerBackend backend = sim::default_timer_backend());
+                AuditMode audit_mode = kDefaultAuditMode);
+  // Ignores its TimerBackend: perfbench's Workload::backend is its only caller.
+  ShardedEngine(const TopoSpec& spec, std::size_t shards, AuditMode audit_mode,
+                sim::TimerBackend)
+      : ShardedEngine(spec, shards, audit_mode) {}
   ~ShardedEngine();
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;

@@ -20,34 +20,36 @@ bool EventHandle::pending() const {
   return scheduler_ != nullptr && scheduler_->is_pending(slot_, generation_);
 }
 
-EventHandle Scheduler::schedule_at(Time at, Action action) {
-  return schedule_impl(at, next_seq_++, 0, nullptr, std::move(action));
+EventHandle Scheduler::schedule_at(Time at, Action action, EventKind kind) {
+  return schedule_impl(at, next_seq_++, 0, nullptr, std::move(action), kind);
 }
 
 EventHandle Scheduler::schedule_at_keyed(Time at, std::uint64_t seq,
                                          std::uint64_t det_tie,
-                                         DetContext* ctx, Action action) {
-  return schedule_impl(at, seq, det_tie, ctx, std::move(action));
+                                         DetContext* ctx, Action action,
+                                         EventKind kind) {
+  return schedule_impl(at, seq, det_tie, ctx, std::move(action), kind);
 }
 
 EventHandle Scheduler::schedule_impl(Time at, std::uint64_t seq,
                                      std::uint64_t det_tie, DetContext* ctx,
-                                     Action action) {
+                                     Action action, EventKind kind) {
   const std::uint32_t slot = acquire_slot();
   Slot& s = slots_[slot];
   s.action = std::move(action);
   s.det_tie = det_tie;
   s.ctx = ctx;
   ++live_events_;
-  if (backend_ == TimerBackend::kWheel &&
+  if ((kind == EventKind::kTimer || heap_.size() > kHeapDirectLimit) &&
       TimerWheelState::tick_of(at.ns()) >= wheel_.cursor) {
     s.at = at;
     s.seq = seq;
     wheel_insert(slot);
     ++wheel_.live;
   } else {
-    // Slab backend, or an event inside the already-consumed cursor range
-    // (at/below the current dispatch horizon): straight into the heap.
+    // A plain event while the heap is small, or an event inside the
+    // already-consumed cursor range (at/below the current dispatch
+    // horizon): straight into the heap.
     heap_push(Entry{at, seq, slot, s.generation});
   }
   return EventHandle(this, slot, s.generation);
@@ -71,14 +73,12 @@ void Scheduler::cancel(std::uint32_t slot, std::uint32_t generation) {
 }
 
 Time Scheduler::next_time() {
-  if (backend_ == TimerBackend::kWheel) wheel_settle();
-  drop_dead_front();
+  wheel_settle();
   return heap_.empty() ? Time::max() : heap_.front().at;
 }
 
 Time Scheduler::run_next() {
-  if (backend_ == TimerBackend::kWheel) wheel_settle();
-  drop_dead_front();
+  wheel_settle();
   assert(!heap_.empty());
   const Entry entry = heap_.front();
   heap_pop_front();

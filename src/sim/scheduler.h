@@ -12,15 +12,15 @@
 // it surfaces, with a compaction sweep bounding tombstone build-up under
 // cancel-heavy workloads.
 //
-// Two backends share this slab (selected per instance, default process-wide
-// via sim::set_default_timer_backend):
-//   kSlab  — every event lives in the binary heap (the original layout).
-//   kWheel — far-future events are staged on a hierarchical timer wheel
-//            (O(1) arm/cancel, no tombstones) and are merged into the heap
-//            only when the wheel cursor reaches their slot. The heap uses
-//            the same (time, seq) comparator either way and every entry is
-//            merged before it could become the minimum, so dispatch order is
-//            byte-identical between backends (ctest-gated).
+// A hierarchical timer wheel (sim/timer_wheel.h) stages events beside the
+// heap: O(1) arm/cancel, no tombstones. An event is staged on the wheel when
+// it is a timer shot (EventKind::kTimer: re-armed far more often than it
+// fires) or when the heap already holds more than kHeapDirectLimit entries
+// (a large pending set; the limit was measured, see DESIGN.md §13.1); every
+// other event goes straight into the heap. Wheel entries are merged into the
+// heap before any of them could become the minimum, and the heap orders by
+// (time, seq) alone, so where an event was stored never changes dispatch
+// order.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +34,11 @@
 namespace tcpdyn::sim {
 
 class Scheduler;
+
+// Timer shots (sim::Timer: retransmit timeouts, delayed ACKs, pacing
+// wakeups, fault one-shots) are always staged on the wheel; plain events
+// only once the heap is large.
+enum class EventKind : std::uint8_t { kPlain, kTimer };
 
 // Largest capture (a Packet plus a pointer) that the network and transport
 // layers schedule; sized so every hot-path lambda stays inline. Call sites
@@ -69,14 +74,13 @@ class Scheduler {
  public:
   using Action = util::InlineAction<kActionInlineCapacity>;
 
-  explicit Scheduler(TimerBackend backend = default_timer_backend())
-      : backend_(backend) {}
-
-  TimerBackend backend() const { return backend_; }
+  // Heap size above which plain events are staged on the wheel too.
+  static constexpr std::size_t kHeapDirectLimit = 64;
 
   // Enqueues `action` to run at absolute time `at`. `at` must be >= the time
   // of the last event popped.
-  EventHandle schedule_at(Time at, Action action);
+  EventHandle schedule_at(Time at, Action action,
+                          EventKind kind = EventKind::kPlain);
 
   // Deterministic-key variant used by sharded runs: the caller supplies the
   // (seq, det_tie) ordering key — seq is the event's birth time, det_tie a
@@ -85,7 +89,8 @@ class Scheduler {
   // schedule_at on the same scheduler (the seq spaces differ).
   EventHandle schedule_at_keyed(Time at, std::uint64_t seq,
                                 std::uint64_t det_tie, DetContext* ctx,
-                                Action action);
+                                Action action,
+                                EventKind kind = EventKind::kPlain);
 
   // Registers the location where run_next publishes the dispatched event's
   // DetContext (sharded runs only; slots carry a null context otherwise).
@@ -95,6 +100,8 @@ class Scheduler {
   // genuinely const: the live count is maintained at cancel/fire time.
   bool empty() const { return live_events_ == 0; }
   std::size_t size() const { return live_events_; }
+  // How many of them are staged on the wheel (the rest are in the heap).
+  std::size_t staged() const { return wheel_.live; }
 
   // Time of the earliest pending (non-cancelled) event; Time::max() if none.
   Time next_time();
@@ -111,8 +118,8 @@ class Scheduler {
   // One slab slot. `generation` advances every time the slot's event is
   // cancelled or fired, invalidating outstanding handles and heap entries
   // that still reference the old incarnation. The wheel_* fields thread the
-  // slot into a timer-wheel bucket's doubly-linked list (kWheel backend
-  // only; `bucket == kNoBucket` means the event lives in the heap).
+  // slot into a timer-wheel bucket's doubly-linked list (`bucket ==
+  // kNoBucket` means the event lives in the heap).
   struct Slot {
     Action action;
     Time at;                 // wheel only: absolute firing time
@@ -164,7 +171,7 @@ class Scheduler {
   // O(1) per cancel, and order-preserving (the comparator is a total order).
   void maybe_compact();
 
-  // kWheel backend. Invariant between calls: every live event whose time is
+  // Wheel staging. Invariant between calls: every live event whose time is
   // below the wheel cursor is in the heap, so a heap front strictly below
   // the cursor is the global minimum.
   void wheel_insert(std::uint32_t slot);         // buckets slots_[slot] by its at
@@ -176,14 +183,13 @@ class Scheduler {
   void wheel_far_jump();                         // re-bucket beyond-horizon set
 
   EventHandle schedule_impl(Time at, std::uint64_t seq, std::uint64_t det_tie,
-                            DetContext* ctx, Action action);
+                            DetContext* ctx, Action action, EventKind kind);
 
   std::vector<Entry> heap_;
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNilSlot;
   std::uint64_t next_seq_ = 0;
   std::size_t live_events_ = 0;
-  TimerBackend backend_ = TimerBackend::kSlab;
   DetContext** active_ref_ = nullptr;
   TimerWheelState wheel_;
 };

@@ -14,14 +14,15 @@ EventHandle Simulator::schedule(Time delay, Scheduler::Action action) {
   return scheduler_.schedule_at(now_ + delay, std::move(action));
 }
 
-EventHandle Simulator::schedule_at(Time at, Scheduler::Action action) {
+EventHandle Simulator::schedule_at(Time at, Scheduler::Action action,
+                                   EventKind kind) {
   assert(at >= now_);
   if (ctx_ != nullptr) {
     return scheduler_.schedule_at_keyed(
         at, static_cast<std::uint64_t>(now_.ns()), det_tie_next(*ctx_), ctx_,
-        std::move(action));
+        std::move(action), kind);
   }
-  return scheduler_.schedule_at(at, std::move(action));
+  return scheduler_.schedule_at(at, std::move(action), kind);
 }
 
 EventHandle Simulator::schedule_handoff(Time delay, DetContext* dispatch,

@@ -13,22 +13,21 @@ namespace tcpdyn::sim {
 
 class Simulator {
  public:
-  explicit Simulator(TimerBackend backend = default_timer_backend())
-      : scheduler_(backend) {
-    scheduler_.bind_active_context(&ctx_);
-  }
+  Simulator() { scheduler_.bind_active_context(&ctx_); }
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   Time now() const { return now_; }
-  TimerBackend timer_backend() const { return scheduler_.backend(); }
 
   // Schedules `action` to run `delay` after now. Negative delays are clamped
   // to zero (runs "immediately", after currently queued same-time events).
   EventHandle schedule(Time delay, Scheduler::Action action);
 
-  // Schedules at an absolute time (must be >= now()).
-  EventHandle schedule_at(Time at, Scheduler::Action action);
+  // Schedules at an absolute time (must be >= now()). `kind` only picks
+  // where the scheduler stores the event, never when it fires; sim::Timer
+  // passes kTimer for its shots.
+  EventHandle schedule_at(Time at, Scheduler::Action action,
+                          EventKind kind = EventKind::kPlain);
 
   // Runs events until the queue drains or the clock would pass `until`.
   // The clock is left at min(until, time of last event). Events exactly at

@@ -56,7 +56,7 @@ class Timer {
     handle_.cancel();
     deadline_ = at;
     handle_ = sim_->schedule_at(at < sim_->now() ? sim_->now() : at,
-                                std::move(action));
+                                std::move(action), EventKind::kTimer);
   }
 
   // Arms at `at` unless an identical shot is already pending — the

@@ -1,4 +1,5 @@
-// Hierarchical timer wheel state for the scheduler's O(1) timer backend.
+// Hierarchical timer wheel state: the scheduler's O(1) staging area for
+// timer shots and for events that arrive while its heap is large.
 //
 // Six levels of 256 slots each over a 2^10 ns (~1 us) base tick cover ~9
 // simulated years. An event at tick T relative to the wheel cursor lives at
@@ -7,11 +8,10 @@
 // and cascades move entries only downward — arm and cancel are O(1), and an
 // entry cascades at most kLevels times over its lifetime.
 //
-// The wheel stages *far* events only. The scheduler keeps its binary heap
-// (same (time, insertion-seq) comparator as the slab backend) as a dispatch
-// buffer: before any pop, slots at or below the heap front are consumed into
-// the heap, so firing order is byte-identical to the slab path by
-// construction rather than by accident. See DESIGN.md §13.
+// The wheel only stages events. The scheduler's binary heap, ordered by
+// (time, insertion-seq), is the dispatch buffer: before any pop, slots at or
+// below the heap front are consumed into the heap, so firing order does not
+// depend on which events were staged. See DESIGN.md §13.
 //
 // Nodes are intrusive: wheel buckets are doubly-linked lists threaded
 // through the scheduler's slab slots, so cancellation unlinks in O(1) and
@@ -21,26 +21,17 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <optional>
-#include <string_view>
 
 namespace tcpdyn::sim {
 
-// Which data structure backs Scheduler's pending-event set. kSlab is the
-// binary-heap-over-slab baseline; kWheel is the hierarchical timer wheel.
-// Both produce byte-identical event order (ctest-gated).
+// Accepted and ignored: perfbench's Workload::backend is its only caller.
 enum class TimerBackend : std::uint8_t { kSlab, kWheel };
-
-// Process-wide default used by newly constructed Scheduler/Simulator
-// instances that don't pass an explicit backend. Tools set this once from
-// --timer before building any experiment; it is not synchronized and must
-// not be flipped while simulations are running on other threads.
-TimerBackend default_timer_backend();
-void set_default_timer_backend(TimerBackend backend);
-
-// "slab" / "wheel" <-> enum. parse returns nullopt for unknown names.
-std::optional<TimerBackend> parse_timer_backend(std::string_view name);
-const char* to_string(TimerBackend backend);
+// Has no effect: perfbench's Workload::backend is its only caller.
+inline void set_default_timer_backend(TimerBackend) {}
+// Names a TimerBackend: perfbench's Workload::backend is its only caller.
+inline const char* to_string(TimerBackend b) {
+  return b == TimerBackend::kSlab ? "slab" : "wheel";
+}
 
 // POD wheel state: bucket heads, per-level occupancy bitmaps, cursor.
 // The bucket lists themselves are threaded through Scheduler's slab slots;

@@ -1,5 +1,5 @@
 // Registry<V>: one named-thing lookup used by every string-selectable
-// component (congestion controllers, queue disciplines, timer backends).
+// component (congestion controllers, queue disciplines).
 // Before this existed each surface had its own ad-hoc if-chain parser with
 // its own error text; now the registry is the single source of the name
 // list, so `--help` enumeration, .topo stanza errors, and sweep-grid errors

@@ -27,7 +27,6 @@
 #include "net/fault.h"
 #include "net/port.h"
 #include "net/queue.h"
-#include "sim/timer_wheel.h"
 #include "util/rng.h"
 
 namespace tcpdyn::core {
@@ -232,7 +231,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzTopology,
 // The same philosophy pointed at the sharded engine: a random TopoSpec
 // (chain topology, qdisc zoo, random flows) under a random declarative
 // fault plan (impairments, outages, rate and delay changes), run at a
-// random shard count on a random timer backend, must reproduce the
+// random shard count, must reproduce the
 // shards=1 run of the identical spec bit for bit — counters, cwnd
 // trajectories, drop log, and the merged conservation ledger, which must
 // also close with every drop attributed to exactly one cause.
@@ -440,20 +439,19 @@ TEST_P(FuzzShardedTopology, ShardCountAndBackendInvariant) {
   // Harness draws come from an independent stream so the spec stays a pure
   // function of the seed.
   util::Rng harness(seed * 7919 + 13);
-  const sim::TimerBackend backend = harness.next_below(2) == 0
-                                        ? sim::TimerBackend::kSlab
-                                        : sim::TimerBackend::kWheel;
+  // This draw once picked a scheduler backend; it is kept and discarded so
+  // every seed still maps to the same shard count.
+  harness.next_below(2);
   const std::size_t shards = 2 + harness.next_below(3);  // 2..4
 
   const TopoSpec spec = random_spec(seed);
-  ShardedEngine ref_engine(spec, 1, AuditMode::kFull, backend);
+  ShardedEngine ref_engine(spec, 1, AuditMode::kFull);
   const ExperimentResult ref = ref_engine.run();
-  ShardedEngine engine(spec, shards, AuditMode::kFull, backend);
+  ShardedEngine engine(spec, shards, AuditMode::kFull);
   const ExperimentResult r = engine.run();
 
   EXPECT_EQ(outcome_string(r), outcome_string(ref))
-      << "seed " << seed << " shards " << shards << " backend "
-      << sim::to_string(backend);
+      << "seed " << seed << " shards " << shards;
   // The merged cross-shard ledger closes with single-cause attribution,
   // whatever the fault plan did.
   EXPECT_EQ(r.audit.drops_queue + r.audit.drops_down + r.audit.drops_fault,

@@ -1,6 +1,6 @@
 // Shard-count invariance lock for the ShardedEngine: the same TopoSpec must
 // produce a bit-for-bit identical ExperimentResult at --shards 1, 2, and 4,
-// on both timer backends, and match the serial Experiment::run path. The
+// and match the serial Experiment::run path. The
 // digest covers every per-connection counter, every monitored-port counter,
 // the full cwnd trajectories (hashed over the raw doubles), the drop log
 // size, and the conservation-audit totals — if any event executes in a
@@ -25,7 +25,6 @@
 #include "core/shard_engine.h"
 #include "core/topo_scenarios.h"
 #include "core/topology.h"
-#include "sim/timer_wheel.h"
 
 namespace tcpdyn::core {
 namespace {
@@ -89,24 +88,19 @@ std::string digest(const ExperimentResult& r) {
   return out;
 }
 
-std::string serial_digest(const TopoSpec& spec, sim::TimerBackend backend) {
-  const sim::TimerBackend saved = sim::default_timer_backend();
-  sim::set_default_timer_backend(backend);
+std::string serial_digest(const TopoSpec& spec) {
   Scenario sc = make_topo_scenario(spec);
-  sim::set_default_timer_backend(saved);
   sc.exp->set_audit_mode(AuditMode::kFull);
   return digest(sc.exp->run(sc.warmup, sc.duration));
 }
 
-std::string sharded_digest(const TopoSpec& spec, std::size_t shards,
-                           sim::TimerBackend backend) {
-  ShardedEngine engine(spec, shards, AuditMode::kFull, backend);
+std::string sharded_digest(const TopoSpec& spec, std::size_t shards) {
+  ShardedEngine engine(spec, shards, AuditMode::kFull);
   return digest(engine.run());
 }
 
-// Asserts the full cross product: shards {1, 2, 4} on the slab backend plus
-// shards {1, 4} on the wheel backend, all byte-identical — and, when
-// `expect_serial_match`, also identical to the serial Experiment::run path.
+// Asserts shards {1, 2, 4} byte-identical — and, when `expect_serial_match`,
+// also identical to the serial Experiment::run path.
 //
 // Serial equality only holds for runs with no cross-node event-key ties:
 // the serial scheduler breaks (firing time, birth time) ties by global
@@ -116,22 +110,15 @@ std::string sharded_digest(const TopoSpec& spec, std::size_t shards,
 // simultaneous events on distinct nodes (incast's synchronized arrivals, the
 // chaos trunk's paired fault shots) therefore follow a different-but-equally-
 // valid total order than the serial engine; for those the invariant under
-// test is shard-count/backend invariance, which is exact.
+// test is shard-count invariance, which is exact.
 void expect_invariant(const TopoSpec& spec, bool expect_serial_match = true) {
-  const std::string ref = sharded_digest(spec, 1, sim::TimerBackend::kSlab);
+  const std::string ref = sharded_digest(spec, 1);
   ASSERT_FALSE(ref.empty());
   if (expect_serial_match) {
-    EXPECT_EQ(serial_digest(spec, sim::TimerBackend::kSlab), ref)
-        << spec.name << ": serial/slab";
+    EXPECT_EQ(serial_digest(spec), ref) << spec.name << ": serial";
   }
-  EXPECT_EQ(sharded_digest(spec, 2, sim::TimerBackend::kSlab), ref)
-      << spec.name << ": shards=2/slab";
-  EXPECT_EQ(sharded_digest(spec, 4, sim::TimerBackend::kSlab), ref)
-      << spec.name << ": shards=4/slab";
-  EXPECT_EQ(sharded_digest(spec, 1, sim::TimerBackend::kWheel), ref)
-      << spec.name << ": shards=1/wheel";
-  EXPECT_EQ(sharded_digest(spec, 4, sim::TimerBackend::kWheel), ref)
-      << spec.name << ": shards=4/wheel";
+  EXPECT_EQ(sharded_digest(spec, 2), ref) << spec.name << ": shards=2";
+  EXPECT_EQ(sharded_digest(spec, 4), ref) << spec.name << ": shards=4";
 }
 
 // The paper's own scenarios, exactly as the tools and benches build them,

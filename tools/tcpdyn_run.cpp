@@ -22,7 +22,6 @@
 #include "core/topo_scenarios.h"
 #include "core/topology.h"
 #include "net/queue.h"
-#include "sim/timer_wheel.h"
 #include "tcp/congestion_control.h"
 #include "util/flags.h"
 
@@ -84,10 +83,6 @@ void declare_flags(util::Flags& flags) {
       .flag("chart", "print ASCII queue charts", false)
       .flag("csv-dir", "DIR", "export raw traces as CSV here", "")
       .flag("audit", "off|counters|full", "conservation-check strength", "")
-      .flag("timer", "slab|wheel",
-            "scheduler timer backend (identical results; wheel is O(1) "
-            "arm/cancel for large flow counts)",
-            "slab")
       .flag("shards", "N",
             "partition the run across N shard simulators with conservative "
             "lookahead (identical results at any N)",
@@ -310,15 +305,6 @@ int main(int argc, char** argv) {
                                 ? flags.get("scenario")
                                 : flags.positional()[0];
 
-  // The backend must be set before any Experiment is constructed — each
-  // Simulator snapshots the process default at construction.
-  if (const auto backend = sim::parse_timer_backend(flags.get("timer"))) {
-    sim::set_default_timer_backend(*backend);
-  } else {
-    return fail(flags,
-                "unknown --timer '" + flags.get("timer") + "' (slab|wheel)");
-  }
-
   if (which == "cc-matrix") {
     core::CcMatrixParams p;
     try {
@@ -364,9 +350,11 @@ int main(int argc, char** argv) {
   // An explicit --shards routes through the sharded engine even at N=1, so
   // "--shards 4 is byte-identical to --shards 1" holds exactly; without the
   // flag the historic serial path runs.
-  const auto shards = static_cast<std::size_t>(flags.get_int("shards"));
+  // Checked before the cast: a negative count must not wrap to SIZE_MAX.
+  const std::int64_t shards_arg = flags.get_int("shards");
+  const auto shards = static_cast<std::size_t>(shards_arg);
   if (flags.has("shards")) {
-    if (shards < 1) return fail(flags, "--shards must be >= 1");
+    if (shards_arg < 1) return fail(flags, "--shards must be >= 1");
     if (flags.has("trace")) {
       return fail(flags,
                   "--trace is not supported with --shards "

@@ -27,7 +27,6 @@
 #include "core/sweep.h"
 #include "core/topo_scenarios.h"
 #include "net/queue.h"
-#include "sim/timer_wheel.h"
 #include "tcp/congestion_control.h"
 #include "util/flags.h"
 #include "util/logging.h"
@@ -77,10 +76,6 @@ void declare_flags(util::Flags& flags) {
       .flag("outage", "SEC", "chaos trunk-flap duration", "")
       .flag("flap-period", "SEC", "chaos gap between trunk flaps", "")
       .flag("flaps", "N", "chaos trunk-flap count", "")
-      .flag("timer", "slab|wheel",
-            "scheduler timer backend (identical results; wheel is O(1) "
-            "arm/cancel for large flow counts)",
-            "slab")
       .flag("shards", "N",
             "run every point through the sharded engine on N shard "
             "simulators (identical results at any N; composes with --jobs)",
@@ -270,15 +265,6 @@ int main(int argc, char** argv) {
   }
   const std::string which = flags.get("scenario");
 
-  // Set before any worker builds an Experiment (Simulators snapshot the
-  // process default at construction; the sweep sets it once, up front).
-  if (const auto backend = sim::parse_timer_backend(flags.get("timer"))) {
-    sim::set_default_timer_backend(*backend);
-  } else {
-    return usage(flags,
-                 "unknown --timer '" + flags.get("timer") + "' (slab|wheel)");
-  }
-
   core::SweepGrid grid;
   try {
     grid = core::SweepGrid(core::parse_grid(flags.get("grid")));
@@ -311,10 +297,12 @@ int main(int argc, char** argv) {
   // An explicit --shards routes every point through the sharded engine
   // (even N=1, so shard counts are byte-comparable); its per-run worker
   // threads compose with the sweep's --jobs pool.
-  const auto shards = static_cast<std::size_t>(flags.get_int("shards"));
+  // Checked before the cast: a negative count must not wrap to SIZE_MAX.
+  const std::int64_t shards_arg = flags.get_int("shards");
+  const auto shards = static_cast<std::size_t>(shards_arg);
   const bool sharded = flags.has("shards");
   if (sharded) {
-    if (shards < 1) return usage(flags, "--shards must be >= 1");
+    if (shards_arg < 1) return usage(flags, "--shards must be >= 1");
     if (!trace_prefix.empty()) {
       return usage(flags, "--trace is not supported with --shards");
     }
