@@ -219,8 +219,8 @@ WorkloadResult run_cc_matrix_small(double scale) {
 }
 
 // 100k-session datacenter incast: the million-flow-scale configuration —
-// streaming monitors, per-flow traces off — on a
-// 200-wide fan-in with open-loop Poisson session churn. Reports events/sec
+// streaming monitors, per-flow traces off — on a 200-wide fan-in with
+// open-loop Poisson session churn. Reports events/sec
 // (gated like the other workloads) plus bytes/flow: peak-RSS growth across
 // scenario construction divided by the session count, gated *upward* so a
 // regression that fattens per-flow state fails the baseline comparison.

@@ -231,8 +231,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzTopology,
 // The same philosophy pointed at the sharded engine: a random TopoSpec
 // (chain topology, qdisc zoo, random flows) under a random declarative
 // fault plan (impairments, outages, rate and delay changes), run at a
-// random shard count, must reproduce the
-// shards=1 run of the identical spec bit for bit — counters, cwnd
+// random shard count, must reproduce the shards=1 run of the identical
+// spec bit for bit — counters, cwnd
 // trajectories, drop log, and the merged conservation ledger, which must
 // also close with every drop attributed to exactly one cause.
 
